@@ -249,8 +249,8 @@ int main(int argc, char** argv) {
     svc.drain();
     service_stats = svc.stats();
     for (unsigned r = 0; r < num_requests; ++r) {
-      const auto standalone = homotopy::solve_total_degree_sharded<double>(
-          systems[r], ropt.to_sharded());
+      const auto standalone =
+          homotopy::solve_total_degree_sharded<double>(systems[r], ropt);
       if (!tickets[r].done() ||
           !paths_bitwise_equal(tickets[r].report().paths, standalone.paths)) {
         std::cout << "FAIL: service request " << r

@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
   bool parity_ok = true;
   for (unsigned r = 0; r < num_requests; ++r) {
     const auto standalone =
-        homotopy::solve_total_degree_sharded<double>(systems[r], opt.to_sharded());
+        homotopy::solve_total_degree_sharded<double>(systems[r], opt);
     if (!paths_bitwise_equal(tickets[r].report().paths, standalone.paths)) {
       std::cout << "FAIL: request " << r
                 << " endpoints differ from the standalone solve\n";

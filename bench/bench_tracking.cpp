@@ -17,6 +17,10 @@
 // equal.  Projective results are additionally checked bitwise across
 // lockstep/per-path modes and shard counts 1/2/4.
 //
+// The lockstep rows run the production engine (the solve service, via
+// solve_total_degree_sharded); the per-path rows run the scalar
+// PathTracker oracle (tests/parity_oracles.hpp) on one device.
+//
 // Two clocks, as everywhere in this repo (docs/ARCHITECTURE.md):
 //
 //   * the MODELED DEVICE CLOCK is where the batching argument is
@@ -26,18 +30,17 @@
 //     tracker's per-round launch logs are costed with the timing model;
 //     the >= 2x gate on the dim-16 workload binds in every mode (the
 //     measured ratio is far higher).
-//   * the HOST WALL CLOCK end to end (track_paths_sharded with shards
-//     and device workers): the lockstep mode keeps every device worker
-//     busy inside each launch while the per-path mode leaves them
-//     spinning at one block per launch.  The gated pair runs both
-//     modes on ONE shard with four host threads (1 manager + 3 device
-//     workers) -- identical resources, so the ratio isolates what
-//     batching buys: per-path single-block launches can occupy only
-//     one of the four threads, lockstep fills all of them.  The >= 2x
-//     tracked-paths/sec gate binds on full runs on >= 4 cores (the
-//     bench_sharding policy); quick mode and small hosts report
-//     without gating.  The 2-shard configuration is reported
-//     ungated alongside.
+//   * the HOST WALL CLOCK end to end (shards and device workers): the
+//     lockstep mode keeps every device worker busy inside each launch
+//     while the per-path mode leaves them spinning at one block per
+//     launch.  The gated pair runs both modes on ONE device with four
+//     host threads (1 manager + 3 device workers) -- identical
+//     resources, so the ratio isolates what batching buys: per-path
+//     single-block launches can occupy only one of the four threads,
+//     lockstep fills all of them.  The >= 2x tracked-paths/sec gate
+//     binds on full runs on >= 4 cores (the bench_sharding policy);
+//     quick mode and small hosts report without gating.  The 2-shard
+//     lockstep configuration is reported ungated alongside.
 //
 // Emits BENCH_tracking.json; `--quick` is the CI smoke configuration.
 
@@ -49,6 +52,7 @@
 #include "benchutil/stamp.hpp"
 #include "benchutil/table.hpp"
 #include "benchutil/timer.hpp"
+#include "../tests/parity_oracles.hpp"
 #include "homotopy/sharded_solver.hpp"
 #include "poly/random_system.hpp"
 #include "simt/timing.hpp"
@@ -97,29 +101,36 @@ struct ModeRow {
   std::uint64_t rejections = 0;
 };
 
-/// One end-to-end track_paths_sharded timing of `paths` total-degree
-/// paths in the given mode (construction included: this is the number a
-/// fresh solve pays).
+/// How a row tracks its paths.
+enum class Mode {
+  kLockstep,  ///< the solve service over `shards` devices
+  kPerPath,   ///< the scalar PathTracker oracle on one device
+};
+
+/// One end-to-end timing of `paths` total-degree paths in the given
+/// mode (construction included: this is the number a fresh solve
+/// pays).  Per-path rows ignore `shards`.
 template <prec::RealScalar S>
-ModeRow run_mode(const poly::PolynomialSystem& sys, std::uint64_t paths,
-                 homotopy::ShardTrackMode mode, homotopy::ShardEvalBackend backend,
+ModeRow run_mode(const poly::PolynomialSystem& sys, std::uint64_t paths, Mode mode,
                  unsigned shards, unsigned workers_per_shard, double min_seconds,
                  homotopy::SolveSummary<S>* out = nullptr,
                  unsigned max_steps = 3000,
-                 homotopy::TrackGeometry geometry = homotopy::TrackGeometry::kAffine) {
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = shards;
-  opt.workers_per_shard = workers_per_shard;
-  opt.max_paths = paths;
-  opt.track.max_steps = max_steps;
-  opt.mode = mode;
-  opt.backend = backend;
-  opt.geometry = geometry;
+                 solve::Geometry geometry = solve::Geometry::kAffine) {
+  solve::Options opt;
+  opt.sharding.shards = shards;
+  opt.sharding.workers_per_shard = workers_per_shard;
+  opt.sharding.max_paths = paths;
+  opt.tracking.track.max_steps = max_steps;
+  opt.tracking.geometry = geometry;
 
   ModeRow row;
   homotopy::SolveSummary<S> summary;
   const double sec = benchutil::time_per_call(
-      [&] { summary = homotopy::solve_total_degree_sharded<S>(sys, opt); },
+      [&] {
+        summary = mode == Mode::kLockstep
+                      ? homotopy::solve_total_degree_sharded<S>(sys, opt)
+                      : oracle::perpath_total_degree<S>(sys, opt, workers_per_shard);
+      },
       min_seconds);
   if (summary.attempted != paths)
     std::cout << "WARNING: attempted " << summary.attempted << " of " << paths
@@ -267,36 +278,26 @@ int main(int argc, char** argv) {
   };
 
   // -- dim 16, double: the gated pair -----------------------------------
-  // One shard, four host threads (manager + 3 device workers) for BOTH
+  // One device, four host threads (manager + 3 device workers) for BOTH
   // modes: identical resources, so tracked-paths/sec isolates the
   // launch-level parallelism batching buys.
   const auto sys16 = table1_system(16);
   homotopy::SolveSummary<double> lockstep16, perpath16;
-  const auto row_lock16 =
-      run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kLockstep,
-                       homotopy::ShardEvalBackend::kFused, 1, 3, min_seconds,
-                       &lockstep16);
+  const auto row_lock16 = run_mode<double>(sys16, paths16, Mode::kLockstep, 1, 3,
+                                           min_seconds, &lockstep16);
   emit("table1_dim16", "lockstep_fused_1x4", row_lock16);
-  const auto row_path16 =
-      run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kPerPath,
-                       homotopy::ShardEvalBackend::kFused, 1, 3, min_seconds,
-                       &perpath16);
+  const auto row_path16 = run_mode<double>(sys16, paths16, Mode::kPerPath, 1, 3,
+                                           min_seconds, &perpath16);
   emit("table1_dim16", "perpath_fused_1x4", row_path16);
-  bool bitwise16 = summaries_bitwise_equal(lockstep16, perpath16);
+  bool bitwise_all = summaries_bitwise_equal(lockstep16, perpath16);
 
   // The 2-shard configuration (1 worker each), reported ungated.
   {
-    homotopy::SolveSummary<double> lock2, path2;
+    homotopy::SolveSummary<double> lock2;
     emit("table1_dim16", "lockstep_fused_2x2",
-         run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kLockstep,
-                          homotopy::ShardEvalBackend::kFused, shards, 1,
-                          min_seconds, &lock2));
-    emit("table1_dim16", "perpath_fused_2x2",
-         run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kPerPath,
-                          homotopy::ShardEvalBackend::kFused, shards, 1,
-                          min_seconds, &path2));
-    bitwise16 = bitwise16 && summaries_bitwise_equal(lock2, path2) &&
-                summaries_bitwise_equal(lockstep16, lock2);
+         run_mode<double>(sys16, paths16, Mode::kLockstep, shards, 1, min_seconds,
+                          &lock2));
+    bitwise_all = bitwise_all && summaries_bitwise_equal(lockstep16, lock2);
   }
 
   // -- dim 16, double, PROJECTIVE: the solved-paths rows ----------------
@@ -307,24 +308,20 @@ int main(int argc, char** argv) {
   // shard counts 1/2/4.
   homotopy::SolveSummary<double> proj_lock, proj_path;
   const auto row_proj_lock =
-      run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kLockstep,
-                       homotopy::ShardEvalBackend::kFused, 1, 3, min_seconds,
-                       &proj_lock, 3000, homotopy::TrackGeometry::kProjective);
+      run_mode<double>(sys16, paths16, Mode::kLockstep, 1, 3, min_seconds,
+                       &proj_lock, 3000, solve::Geometry::kProjective);
   emit("table1_dim16_proj", "lockstep_fused_1x4", row_proj_lock);
   const auto row_proj_path =
-      run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kPerPath,
-                       homotopy::ShardEvalBackend::kFused, 1, 3, min_seconds,
-                       &proj_path, 3000, homotopy::TrackGeometry::kProjective);
+      run_mode<double>(sys16, paths16, Mode::kPerPath, 1, 3, min_seconds,
+                       &proj_path, 3000, solve::Geometry::kProjective);
   emit("table1_dim16_proj", "perpath_fused_1x4", row_proj_path);
   bool proj_bitwise = summaries_bitwise_equal(proj_lock, proj_path);
   for (const unsigned proj_shards : {2u, 4u}) {
     homotopy::SolveSummary<double> proj_s;
     emit("table1_dim16_proj",
          proj_shards == 2 ? "lockstep_fused_2shard" : "lockstep_fused_4shard",
-         run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kLockstep,
-                          homotopy::ShardEvalBackend::kFused, proj_shards, 1,
-                          min_seconds, &proj_s, 3000,
-                          homotopy::TrackGeometry::kProjective));
+         run_mode<double>(sys16, paths16, Mode::kLockstep, proj_shards, 1,
+                          min_seconds, &proj_s, 3000, solve::Geometry::kProjective));
     proj_bitwise = proj_bitwise && summaries_bitwise_equal(proj_lock, proj_s);
   }
   const double proj_solved_frac = row_proj_lock.solved_frac;
@@ -335,48 +332,29 @@ int main(int argc, char** argv) {
   const double modeled_speedup =
       modeled_lock_us > 0.0 ? modeled_path_us / modeled_lock_us : 0.0;
 
-  // Pipelined backend: the corrector batches finally give the streams
-  // transfers to hide (reported; parity is covered by the test suite).
-  homotopy::SolveSummary<double> piped16;
-  const auto row_pipe16 =
-      run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kLockstep,
-                       homotopy::ShardEvalBackend::kPipelined, shards, 1,
-                       min_seconds, &piped16);
-  emit("table1_dim16", "lockstep_pipelined", row_pipe16);
-  bool bitwise_all = bitwise16 && summaries_bitwise_equal(lockstep16, piped16);
-
   // -- extended precision: the quality-up rows ---------------------------
   const std::uint64_t paths_dd = 2;
   emit("table1_dim16_dd", "lockstep_fused",
-       run_mode<prec::DoubleDouble>(sys16, paths_dd,
-                                    homotopy::ShardTrackMode::kLockstep,
-                                    homotopy::ShardEvalBackend::kFused, shards, 1,
+       run_mode<prec::DoubleDouble>(sys16, paths_dd, Mode::kLockstep, shards, 1,
                                     min_seconds));
   if (!quick) {
     emit("table1_dim16_dd", "perpath_fused",
-         run_mode<prec::DoubleDouble>(sys16, paths_dd,
-                                      homotopy::ShardTrackMode::kPerPath,
-                                      homotopy::ShardEvalBackend::kFused, shards, 1,
+         run_mode<prec::DoubleDouble>(sys16, paths_dd, Mode::kPerPath, shards, 1,
                                       min_seconds));
     // qd arithmetic is ~40x double; cap the row's step budget so the
     // full bench stays minutes-free (report-only row either way).
     emit("table1_dim16_qd", "lockstep_fused",
-         run_mode<prec::QuadDouble>(sys16, 1, homotopy::ShardTrackMode::kLockstep,
-                                    homotopy::ShardEvalBackend::kFused, shards, 1,
+         run_mode<prec::QuadDouble>(sys16, 1, Mode::kLockstep, shards, 1,
                                     min_seconds, nullptr, 300));
 
     // -- dim 32: the larger Table-1 column -------------------------------
     const auto sys32 = table1_system(32);
     homotopy::SolveSummary<double> lockstep32, perpath32;
-    const auto row_lock32 =
-        run_mode<double>(sys32, 4, homotopy::ShardTrackMode::kLockstep,
-                         homotopy::ShardEvalBackend::kFused, shards, 1,
-                         min_seconds, &lockstep32);
+    const auto row_lock32 = run_mode<double>(sys32, 4, Mode::kLockstep, shards, 1,
+                                             min_seconds, &lockstep32);
     emit("table1_dim32", "lockstep_fused", row_lock32);
-    const auto row_path32 =
-        run_mode<double>(sys32, 4, homotopy::ShardTrackMode::kPerPath,
-                         homotopy::ShardEvalBackend::kFused, shards, 1,
-                         min_seconds, &perpath32);
+    const auto row_path32 = run_mode<double>(sys32, 4, Mode::kPerPath, shards, 1,
+                                             min_seconds, &perpath32);
     emit("table1_dim32", "perpath_fused", row_path32);
     if (!summaries_bitwise_equal(lockstep32, perpath32)) {
       std::cout << "FAIL: dim-32 lockstep results differ from per-path\n";

@@ -4,9 +4,8 @@
 // rounds, poll progress, cancel one, and read the versioned reports.
 //
 // The one-shot spelling of the same thing is
-// homotopy::solve_total_degree_sharded(target, options.to_sharded()) --
-// in its default (lockstep x fused) configuration that call routes
-// through a throwaway service instance, and the service promises the
+// homotopy::solve_total_degree_sharded(target, options) -- that call
+// submits one request to a throwaway service instance, so the
 // endpoints are bitwise identical either way.
 
 #include <iostream>

@@ -25,6 +25,14 @@ and the floor fires even when no baseline file exists yet.  Other
 modeled-clock and speedup fields are left alone -- they have their own
 in-bench gates.
 
+List entries are matched to their baseline counterparts by identity,
+not position: an entry's path segment is built from its identifying
+string fields (workload + mode, else name, label, scalar or schedule),
+falling back to the list index only when an entry has none.  Dropping
+or reordering a row therefore never pairs a current row with a
+different baseline row; baseline rows with no current match are
+reported as "missing".
+
 Usage:
   scripts/check_bench_regression.py [--baseline-dir bench/baselines]
       [--max-ratio 2.0] BENCH_batch.json BENCH_sharding.json ...
@@ -34,6 +42,30 @@ import argparse
 import json
 import os
 import sys
+
+
+# Identifying string fields of a list entry, most specific first: the
+# first group whose fields are all present names the entry.
+IDENTITY_FIELDS = (("workload", "mode"), ("name",), ("label",), ("scalar",),
+                   ("schedule",))
+
+
+def entry_keys(items):
+    """Yield (segment, entry) for each list entry: "[field=value,...]"
+    from its identifying fields, or "[i]" when it has none or its
+    identity repeats an earlier entry's."""
+    seen = set()
+    for i, value in enumerate(items):
+        segment = f"[{i}]"
+        if isinstance(value, dict):
+            for group in IDENTITY_FIELDS:
+                if all(isinstance(value.get(f), str) for f in group):
+                    ident = ",".join(f"{f}={value[f]}" for f in group)
+                    if ident not in seen:
+                        seen.add(ident)
+                        segment = f"[{ident}]"
+                    break
+        yield segment, value
 
 
 def gated_leaves(node, path=""):
@@ -57,8 +89,8 @@ def gated_leaves(node, path=""):
             elif isinstance(value, (int, float)) and "solved_frac" in key:
                 yield sub, float(value), True, True
     elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from gated_leaves(value, f"{path}[{i}]")
+        for segment, value in entry_keys(node):
+            yield from gated_leaves(value, path + segment)
 
 
 def tuned_speedup_leaves(node, path=""):
@@ -73,8 +105,8 @@ def tuned_speedup_leaves(node, path=""):
             elif isinstance(value, (int, float)) and "tuned_speedup" in key:
                 yield sub, float(value)
     elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from tuned_speedup_leaves(value, f"{path}[{i}]")
+        for segment, value in entry_keys(node):
+            yield from tuned_speedup_leaves(value, path + segment)
 
 
 def main():
@@ -155,7 +187,13 @@ def main():
 
         baseline_values = {p: (v, hib, q)
                            for p, v, hib, q in gated_leaves(baseline)}
-        for path, value, higher_is_better, is_quality in gated_leaves(current):
+        current_leaves = list(gated_leaves(current))
+        current_paths = {leaf[0] for leaf in current_leaves}
+        for path in baseline_values:
+            if path not in current_paths:
+                print(f"missing {name}:{path} (in baseline, not in current "
+                      f"output)")
+        for path, value, higher_is_better, is_quality in current_leaves:
             entry = baseline_values.get(path)
             if entry is None:
                 continue

@@ -448,11 +448,6 @@ class SolveService {
     } catch (const std::invalid_argument&) {
       return AdmissionVerdict::kInvalid;
     }
-    // The service IS the fused lockstep engine; other modes stay on the
-    // one-shot sharded API.
-    if (req.options.tracking.mode != solve::TrackMode::kLockstep ||
-        req.options.sharding.backend != solve::EvalBackend::kFused)
-      return AdmissionVerdict::kInvalid;
     const std::size_t misses_before = cache_.misses();
     try {
       item.entry = cache_.lookup(

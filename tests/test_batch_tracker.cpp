@@ -1,8 +1,9 @@
 // Lockstep batched tracking: per-path results must be BITWISE identical
 // to the scalar PathTracker over the same evaluators -- across
-// precisions (double/dd/qd), shard counts 1/2/4, both device backends,
-// and through mid-run retirement (paths failing and finishing at
-// different rounds while the survivors' batches compact around them).
+// precisions (double/dd/qd), shard counts 1/2/4, against the pipelined
+// lockstep oracle, and through mid-run retirement (paths failing and
+// finishing at different rounds while the survivors' batches compact
+// around them).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <string>
 
 #include "homotopy/sharded_solver.hpp"
+#include "parity_oracles.hpp"
 #include "poly/random_system.hpp"
 
 namespace {
@@ -27,15 +29,12 @@ poly::PolynomialSystem uniform_target(unsigned dim = 3, std::uint64_t seed = 99)
   return poly::make_random_system(spec);
 }
 
-homotopy::ShardedSolveOptions base_options(unsigned shards,
-                                           homotopy::ShardTrackMode mode) {
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = shards;
-  opt.workers_per_shard = 1;
-  opt.chunk_paths = 1;
-  opt.max_paths = 6;
-  opt.track.max_steps = 4000;
-  opt.mode = mode;
+solve::Options base_options(unsigned shards) {
+  solve::Options opt;
+  opt.sharding.shards = shards;
+  opt.sharding.workers_per_shard = 1;
+  opt.sharding.max_paths = 6;
+  opt.tracking.track.max_steps = 4000;
   return opt;
 }
 
@@ -62,14 +61,12 @@ void expect_paths_bitwise(const homotopy::SolveSummary<S>& want,
 template <prec::RealScalar S>
 void run_mode_parity(std::initializer_list<unsigned> shard_counts) {
   const auto sys = uniform_target();
-  const auto want = homotopy::solve_total_degree_sharded<S>(
-      sys, base_options(1, homotopy::ShardTrackMode::kPerPath));
+  const auto want = oracle::perpath_total_degree<S>(sys, base_options(1));
   ASSERT_EQ(want.attempted, 6u);
   EXPECT_GE(want.successes, 1u);
 
   for (const unsigned shards : shard_counts) {
-    const auto got = homotopy::solve_total_degree_sharded<S>(
-        sys, base_options(shards, homotopy::ShardTrackMode::kLockstep));
+    const auto got = homotopy::solve_total_degree_sharded<S>(sys, base_options(shards));
     expect_paths_bitwise(want, got,
                          (std::string("lockstep, ") + std::to_string(shards) +
                           " shard(s)")
@@ -93,10 +90,9 @@ TEST(BatchTracker, PipelinedBackendBitwiseIdentical) {
   // The pipelined evaluator micro-chunks the lockstep batches through
   // the two-stream schedule; results must not move a bit.
   const auto sys = uniform_target();
-  auto opt = base_options(2, homotopy::ShardTrackMode::kLockstep);
+  const auto opt = base_options(2);
   const auto fused = homotopy::solve_total_degree_sharded<double>(sys, opt);
-  opt.backend = homotopy::ShardEvalBackend::kPipelined;
-  const auto piped = homotopy::solve_total_degree_sharded<double>(sys, opt);
+  const auto piped = oracle::lockstep_total_degree<double>(sys, opt);
   expect_paths_bitwise(fused, piped, "pipelined backend");
 }
 
@@ -104,10 +100,9 @@ TEST(BatchTracker, SmallLockstepBatchChunksLiveSet) {
   // lockstep_batch smaller than the live set forces every round to walk
   // multiple device batches; chunking must not move a bit either.
   const auto sys = uniform_target();
-  const auto want = homotopy::solve_total_degree_sharded<double>(
-      sys, base_options(1, homotopy::ShardTrackMode::kPerPath));
-  auto opt = base_options(1, homotopy::ShardTrackMode::kLockstep);
-  opt.lockstep_batch = 2;  // 6 paths -> 3 chunks per stage
+  const auto want = oracle::perpath_total_degree<double>(sys, base_options(1));
+  auto opt = base_options(1);
+  opt.sharding.lockstep_batch = 2;  // 6 paths -> 3 chunks per stage
   const auto got = homotopy::solve_total_degree_sharded<double>(sys, opt);
   expect_paths_bitwise(want, got, "lockstep_batch 2");
 }

@@ -2,8 +2,8 @@
 // synchronous FusedGpuEvaluator for double, double-double and
 // quad-double across micro-chunk sizes and shard counts 1/2/4, the
 // modeled schedule overlaps copies under kernels deterministically, and
-// the sharded tracker reproduces its solutions under the pipelined
-// backend.
+// lockstep tracking over the pipelined evaluator reproduces the sharded
+// solver's solutions.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "core/pipelined_evaluator.hpp"
 #include "core/sharded_evaluator.hpp"
 #include "homotopy/sharded_solver.hpp"
+#include "parity_oracles.hpp"
 #include "poly/random_system.hpp"
 
 namespace {
@@ -231,17 +232,14 @@ TEST(Pipelined, ValidatesArguments) {
 
 TEST(PipelinedTracker, ShardedSolverReproducesUnderPipelinedBackend) {
   // The sharded tracker's solutions must be bitwise independent of the
-  // per-shard evaluator backend (both run the same fused kernel).
+  // device evaluator (both run the same fused kernel).
   const auto target = make_system(3, 3, 2, 2, 5);
 
-  homotopy::ShardedSolveOptions fused_opt;
-  fused_opt.shards = 2;
-  fused_opt.max_paths = 4;
-  const auto want = homotopy::solve_total_degree_sharded<double>(target, fused_opt);
-
-  auto piped_opt = fused_opt;
-  piped_opt.backend = homotopy::ShardEvalBackend::kPipelined;
-  const auto got = homotopy::solve_total_degree_sharded<double>(target, piped_opt);
+  solve::Options opt;
+  opt.sharding.shards = 2;
+  opt.sharding.max_paths = 4;
+  const auto want = homotopy::solve_total_degree_sharded<double>(target, opt);
+  const auto got = oracle::lockstep_total_degree<double>(target, opt);
 
   ASSERT_EQ(want.paths.size(), got.paths.size());
   EXPECT_EQ(want.successes, got.successes);

@@ -9,6 +9,7 @@
 
 #include "core/fused_evaluator.hpp"
 #include "homotopy/sharded_solver.hpp"
+#include "parity_oracles.hpp"
 #include "poly/random_system.hpp"
 
 namespace {
@@ -251,10 +252,10 @@ TEST(Projective, TripleRootWindingNumberMeasured) {
 
 TEST(Projective, StatusEnumAndSuccessAgree) {
   const auto sys = uniform_target();
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = 1;
-  opt.max_paths = 6;
-  opt.track.max_steps = 4000;
+  solve::Options opt;
+  opt.sharding.shards = 1;
+  opt.sharding.max_paths = 6;
+  opt.tracking.track.max_steps = 4000;
   const auto summary = homotopy::solve_total_degree_sharded<double>(sys, opt);
   EXPECT_EQ(summary.attempted, 6u);
   EXPECT_EQ(summary.classified(), 6u);  // this workload fully classifies
@@ -291,20 +292,18 @@ void expect_paths_bitwise(const homotopy::SolveSummary<S>& want,
 template <prec::RealScalar S>
 void run_projective_parity(std::initializer_list<unsigned> shard_counts) {
   const auto sys = uniform_target();
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = 1;
-  opt.workers_per_shard = 1;
-  opt.chunk_paths = 1;
-  opt.max_paths = 6;
-  opt.track.max_steps = 4000;
-  opt.mode = homotopy::ShardTrackMode::kPerPath;  // scalar projective tracker
-  const auto want = homotopy::solve_total_degree_sharded<S>(sys, opt);
+  solve::Options opt;
+  opt.sharding.shards = 1;
+  opt.sharding.workers_per_shard = 1;
+  opt.sharding.max_paths = 6;
+  opt.tracking.track.max_steps = 4000;
+  // The scalar projective tracker.
+  const auto want = oracle::perpath_total_degree<S>(sys, opt);
   ASSERT_EQ(want.attempted, 6u);
   EXPECT_GE(want.classified(), 5u);
 
-  opt.mode = homotopy::ShardTrackMode::kLockstep;
   for (const unsigned shards : shard_counts) {
-    opt.shards = shards;
+    opt.sharding.shards = shards;
     const auto got = homotopy::solve_total_degree_sharded<S>(sys, opt);
     expect_paths_bitwise(want, got,
                          (std::string("projective lockstep, ") +
@@ -323,13 +322,12 @@ TEST(ProjectiveParity, LockstepMatchesScalarDoubleDouble) {
 
 TEST(ProjectiveParity, PipelinedBackendBitwiseIdentical) {
   const auto sys = uniform_target();
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = 2;
-  opt.max_paths = 6;
-  opt.track.max_steps = 4000;
+  solve::Options opt;
+  opt.sharding.shards = 2;
+  opt.sharding.max_paths = 6;
+  opt.tracking.track.max_steps = 4000;
   const auto fused = homotopy::solve_total_degree_sharded<double>(sys, opt);
-  opt.backend = homotopy::ShardEvalBackend::kPipelined;
-  const auto piped = homotopy::solve_total_degree_sharded<double>(sys, opt);
+  const auto piped = oracle::lockstep_total_degree<double>(sys, opt);
   expect_paths_bitwise(fused, piped, "projective pipelined backend");
 }
 

@@ -15,8 +15,8 @@
 #include <thread>
 
 #include "core/multitenant_evaluator.hpp"
-#include "homotopy/sharded_solver.hpp"
 #include "newton/batch.hpp"
+#include "parity_oracles.hpp"
 #include "poly/random_system.hpp"
 #include "service/solve_service.hpp"
 
@@ -42,14 +42,12 @@ solve::Options small_options(std::uint64_t max_paths = 6) {
   return opt;
 }
 
-/// The standalone reference: the PIPELINED lockstep loop, an engine the
-/// service never touches (the service is the fused path), bitwise equal
-/// to fused tracking by the evaluator parity guarantee.
+/// The standalone reference: the PIPELINED lockstep oracle, an engine
+/// the service never touches (the service is the fused path), bitwise
+/// equal to fused tracking by the evaluator parity guarantee.
 homotopy::SolveSummary<double> standalone(const poly::PolynomialSystem& sys,
                                           const solve::Options& opt) {
-  auto legacy = opt.to_sharded();
-  legacy.backend = homotopy::ShardEvalBackend::kPipelined;
-  return homotopy::solve_total_degree_sharded<double>(sys, legacy);
+  return oracle::lockstep_total_degree<double>(sys, opt);
 }
 
 /// Parses the Prometheus exposition text for one histogram family and
@@ -267,25 +265,15 @@ TEST(SolveService, DeadlineExpiryReportsCancelledNotDiverged) {
 TEST(SolveService, AdmissionControlVerdicts) {
   const auto sys = small_system(99);
 
-  {  // Non-lockstep / non-fused modes belong to the one-shot API.
+  {  // Options that fail Options::validate.
     service::SolveService<double> svc;
     auto opt = small_options();
-    opt.tracking.mode = solve::TrackMode::kPerPath;
+    opt.sharding.shards = 0;
     auto t = svc.submit({sys, opt, {}, 0, 0.0});
     EXPECT_EQ(t.verdict(), service::AdmissionVerdict::kInvalid);
     EXPECT_TRUE(t.done());
     EXPECT_EQ(t.poll().status, service::RequestStatus::kRejected);
     EXPECT_THROW((void)t.report(), std::logic_error);
-
-    opt = small_options();
-    opt.sharding.backend = solve::EvalBackend::kPipelined;
-    EXPECT_EQ(svc.submit({sys, opt, {}, 0, 0.0}).verdict(),
-              service::AdmissionVerdict::kInvalid);
-
-    opt = small_options();
-    opt.sharding.shards = 0;  // fails Options::validate
-    EXPECT_EQ(svc.submit({sys, opt, {}, 0, 0.0}).verdict(),
-              service::AdmissionVerdict::kInvalid);
   }
   {  // Path budget.
     service::SolveService<double>::Config config;

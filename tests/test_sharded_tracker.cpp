@@ -24,13 +24,12 @@ poly::PolynomialSystem uniform_target() {
   return poly::make_random_system(spec);
 }
 
-homotopy::ShardedSolveOptions base_options(unsigned shards) {
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = shards;
-  opt.workers_per_shard = 1;
-  opt.chunk_paths = 1;
-  opt.max_paths = 6;
-  opt.track.max_steps = 4000;
+solve::Options base_options(unsigned shards) {
+  solve::Options opt;
+  opt.sharding.shards = shards;
+  opt.sharding.workers_per_shard = 1;
+  opt.sharding.max_paths = 6;
+  opt.tracking.track.max_steps = 4000;
   return opt;
 }
 
@@ -39,7 +38,8 @@ TEST(ShardedTracker, BitwiseReproducibleAcrossShardCounts) {
   const auto want = homotopy::solve_total_degree_sharded<double>(sys, base_options(1));
   ASSERT_EQ(want.attempted, 6u);
 
-  for (const unsigned shards : {2u, 4u}) {
+  // 8 shards > 6 paths: some shards own no slots.
+  for (const unsigned shards : {2u, 4u, 8u}) {
     const auto got = homotopy::solve_total_degree_sharded<double>(sys, base_options(shards));
     ASSERT_EQ(got.paths.size(), want.paths.size()) << shards << " shards";
     EXPECT_EQ(got.successes, want.successes) << shards << " shards";
@@ -89,7 +89,7 @@ TEST(ShardedTracker, AffineEscapeHatchStillStalls) {
   // behavior: solutions are affine points and divergent paths stall.
   const auto sys = uniform_target();
   auto opt = base_options(2);
-  opt.geometry = homotopy::TrackGeometry::kAffine;
+  opt.tracking.geometry = solve::Geometry::kAffine;
   const auto summary = homotopy::solve_total_degree_sharded<double>(sys, opt);
   EXPECT_GE(summary.successes, 1u);
   EXPECT_EQ(summary.at_infinity, 0u);
@@ -120,7 +120,7 @@ TEST(ShardedTracker, ExplicitStartRootsLandInOrder) {
   auto opt = base_options(2);
   const auto a = homotopy::track_paths_sharded<double>(sys, start.system(), roots,
                                                        gamma, opt);
-  opt.shards = 1;
+  opt.sharding.shards = 1;
   const auto b = homotopy::track_paths_sharded<double>(sys, start.system(), roots,
                                                        gamma, opt);
   ASSERT_EQ(a.paths.size(), 3u);
@@ -140,6 +140,24 @@ TEST(ShardedTracker, EmptyBatchIsANoOp) {
       sys, start.system(), none, homotopy::random_gamma(1), base_options(2));
   EXPECT_EQ(summary.attempted, 0u);
   EXPECT_EQ(summary.successes, 0u);
+}
+
+TEST(ShardedTracker, InvalidOptionsThrowBeforeSizing) {
+  // Validation runs before the one-shot wrappers size anything: a zero
+  // shard count must not reach the per-shard division.
+  const auto sys = uniform_target();
+  const homotopy::TotalDegreeStart start(sys);
+  const std::vector<std::vector<Cd>> none;
+  auto opt = base_options(0);
+  EXPECT_THROW((void)homotopy::solve_total_degree_sharded<double>(sys, opt),
+               std::invalid_argument);
+  EXPECT_THROW((void)homotopy::track_paths_sharded<double>(
+                   sys, start.system(), none, homotopy::random_gamma(1), opt),
+               std::invalid_argument);
+  opt = base_options(2);
+  opt.sharding.lockstep_batch = 0;
+  EXPECT_THROW((void)homotopy::solve_total_degree_sharded<double>(sys, opt),
+               std::invalid_argument);
 }
 
 }  // namespace
