@@ -149,4 +149,33 @@ void run_nondeterministic_accumulation(KernelAuditor& auditor,
   (void)device.launch(k, cfg);
 }
 
+void run_footprint_variance(KernelAuditor& auditor, simt::Device& device) {
+  constexpr unsigned kThreads = 32, kMaxStride = 16;
+  auto input = device.alloc_global<unsigned>(1, "FxStride");
+  auto table = device.alloc_global<double>(kThreads * kMaxStride, "FxTable");
+  auto out = device.alloc_global<double>(kThreads, "FxGathered");
+  device.fill(table, 1.0);
+  device.fill(out, 0.0);
+
+  simt::Kernel k;
+  k.name = "fx_data_index";
+  k.phases.push_back([input, table, out](simt::ThreadContext& ctx) {
+    const unsigned stride = ctx.load(input, 0);
+    ctx.store(out, ctx.thread_index(), ctx.load(table, ctx.thread_index() * stride));
+  });
+  k.memo.enable(0);
+
+  simt::LaunchConfig cfg;
+  cfg.grid_blocks = 1;
+  cfg.block_threads = kThreads;
+  simt::KernelStats stats[2];
+  const unsigned strides[2] = {1, kMaxStride};
+  for (unsigned run = 0; run < 2; ++run) {
+    device.upload(input, std::span<const unsigned>(&strides[run], 1));
+    auditor.begin_epoch();
+    stats[run] = device.launch(k, cfg);
+  }
+  (void)auditor.check_footprint_invariance(stats[0], stats[1]);
+}
+
 }  // namespace polyeval::audit::fixtures

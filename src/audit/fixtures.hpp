@@ -51,4 +51,11 @@ void run_lane_divergence(KernelAuditor& auditor, simt::Device& device);
 void run_nondeterministic_accumulation(KernelAuditor& auditor,
                                        simt::Device& device);
 
+/// A memoizing kernel whose load addresses come from point data: each
+/// thread reads table[thread * stride] with `stride` loaded from the
+/// input.  Two instrumented launches at one key over inputs with
+/// strides 1 and 16 coalesce differently, so check_footprint_invariance
+/// must report kFootprintVariance against kernel "fx_data_index".
+void run_footprint_variance(KernelAuditor& auditor, simt::Device& device);
+
 }  // namespace polyeval::audit::fixtures

@@ -19,6 +19,7 @@ const char* to_string(FindingKind kind) noexcept {
     case FindingKind::kCountDivergence: return "count-divergence";
     case FindingKind::kNondeterministicAccumulation:
       return "nondeterministic-accumulation";
+    case FindingKind::kFootprintVariance: return "footprint-variance";
   }
   return "unknown";
 }
@@ -146,6 +147,62 @@ void KernelAuditor::report(FindingKind kind, const simt::AuditSite& site,
   findings_.push_back({kind, kernel_, site.phase, site.block, site.warp, site.lane,
                        site.thread, address, std::move(buffer), offset,
                        std::move(provenance), std::move(detail)});
+}
+
+bool KernelAuditor::check_footprint_invariance(const simt::KernelStats& first,
+                                               const simt::KernelStats& second) {
+  if (first == second) return true;
+  std::string detail;
+  const auto field = [&](const char* name, std::uint64_t a, std::uint64_t b) {
+    if (a == b) return;
+    detail += (detail.empty() ? "" : ", ") + std::string(name) + " " +
+              std::to_string(a) + " vs " + std::to_string(b);
+  };
+  field("blocks", first.blocks, second.blocks);
+  field("threads", first.threads, second.threads);
+  field("warps", first.warps, second.warps);
+  field("complex_mul_total", first.complex_mul_total, second.complex_mul_total);
+  field("complex_add_total", first.complex_add_total, second.complex_add_total);
+  field("complex_mul_per_thread_max", first.complex_mul_per_thread_max,
+        second.complex_mul_per_thread_max);
+  field("complex_add_per_thread_max", first.complex_add_per_thread_max,
+        second.complex_add_per_thread_max);
+  field("global_load_requests", first.global_load_requests,
+        second.global_load_requests);
+  field("global_load_transactions", first.global_load_transactions,
+        second.global_load_transactions);
+  field("global_store_requests", first.global_store_requests,
+        second.global_store_requests);
+  field("global_store_transactions", first.global_store_transactions,
+        second.global_store_transactions);
+  field("global_bytes_loaded", first.global_bytes_loaded, second.global_bytes_loaded);
+  field("global_bytes_stored", first.global_bytes_stored, second.global_bytes_stored);
+  field("shared_requests", first.shared_requests, second.shared_requests);
+  field("shared_cycles", first.shared_cycles, second.shared_cycles);
+  field("constant_reads", first.constant_reads, second.constant_reads);
+  field("inactive_lane_phases", first.inactive_lane_phases,
+        second.inactive_lane_phases);
+  field("race_hazards", first.race_hazards, second.race_hazards);
+  field("warps_per_block", first.warps_per_block, second.warps_per_block);
+  field("concurrent_blocks_per_sm", first.concurrent_blocks_per_sm,
+        second.concurrent_blocks_per_sm);
+  field("waves", first.waves, second.waves);
+  field("warps_on_busiest_sm", first.warps_on_busiest_sm, second.warps_on_busiest_sm);
+  field("shared_bytes_per_block", first.shared_bytes_per_block,
+        second.shared_bytes_per_block);
+  if (first.kernel != second.kernel)
+    detail += (detail.empty() ? "" : ", ") + std::string("kernel ") + first.kernel +
+              " vs " + second.kernel;
+  ++total_findings_;
+  if (findings_.size() < options_.max_findings) {
+    Finding f;
+    f.kind = FindingKind::kFootprintVariance;
+    f.kernel = first.kernel;
+    f.detail = "launch stats depend on input values: " +
+               (detail.empty() ? std::string("a field not listed here differs") : detail);
+    findings_.push_back(std::move(f));
+  }
+  return false;
 }
 
 std::string KernelAuditor::describe(const WordShadow& shadow) const {

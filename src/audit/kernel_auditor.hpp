@@ -28,6 +28,12 @@
 ///    read-modify-write accumulation whose order real hardware does
 ///    not fix: the pattern that silently breaks bitwise parity.
 ///
+/// A fifth check is driven by the caller, not by the engine hooks:
+/// **footprint invariance** (check_footprint_invariance) compares one
+/// kernel's stats at one launch key over two different inputs.  A
+/// memoizing kernel (simt::StatsMemo) replays its first launch's stats,
+/// which is only honest when its access pattern ignores the data.
+///
 /// Provenance: the auditor watches Device::upload / Device::fill / h2d
 /// stream copies (host-initialized, durable across epochs) and every
 /// kernel store (device-written, stamped with launch/phase/thread and
@@ -54,6 +60,7 @@
 
 #include "simt/audit_hook.hpp"
 #include "simt/memory.hpp"
+#include "simt/stats.hpp"
 
 namespace polyeval::simt {
 class Device;
@@ -73,6 +80,7 @@ enum class FindingKind {
   kFootprintDivergence,        ///< lanes disagree on an access ordinal's byte size
   kCountDivergence,            ///< per-class access counts increase with lane index
   kNondeterministicAccumulation,  ///< cross-thread RMW accumulation over a barrier
+  kFootprintVariance,  ///< a kernel's launch stats moved with its input values
 };
 
 [[nodiscard]] const char* to_string(FindingKind kind) noexcept;
@@ -121,6 +129,13 @@ class KernelAuditor final : public simt::AccessAudit {
   /// Total findings including those dropped past max_findings.
   [[nodiscard]] std::size_t total_findings() const noexcept { return total_findings_; }
   [[nodiscard]] std::size_t launches_audited() const noexcept { return launches_; }
+  /// Footprint invariance: `first` and `second` are one kernel's stats
+  /// at one launch key (geometry and footprint tag) on two different
+  /// inputs.  Every differing field is reported in one
+  /// kFootprintVariance finding; returns whether the stats matched.
+  bool check_footprint_invariance(const simt::KernelStats& first,
+                                  const simt::KernelStats& second);
+
   void clear_findings() {
     findings_.clear();
     total_findings_ = 0;

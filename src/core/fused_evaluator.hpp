@@ -253,6 +253,9 @@ template <prec::RealScalar S>
   // <= 15 chars: KernelStats copies the name per launch, and an
   // SSO-sized string keeps that copy off the allocator.
   kernel.name = "fused_eval";
+  // Every index comes from the constant tables fixed at construction,
+  // so the geometry alone keys the stats memo (empty footprint tag).
+  kernel.memo.enable(0);
   kernel.phases = {
       // Phase 1 (kernel 1 stage one, fused): the shared point/powers
       // load.
@@ -396,6 +399,7 @@ template <prec::RealScalar S>
 
   simt::Kernel kernel;
   kernel.name = "fused_values";
+  kernel.memo.enable(0);  // as the full kernel: tables fixed at construction
   kernel.phases = {
       // Phase 1: the full kernel's shared point/powers load, the SAME
       // lambda (the common factor still needs the powers table).

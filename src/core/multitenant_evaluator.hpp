@@ -164,6 +164,9 @@ class MultiTenantFusedEvaluator {
                             std::span<const unsigned char>(host_exponents_));
     device_.upload(coeffs_, std::span<const C>(host_coeffs_));
     tenant_present_[tenant] = 1;
+    // The recorded stats describe the old tables' access pattern.
+    kernel_.memo.invalidate();
+    values_kernel_.memo.invalidate();
   }
 
   /// Mark a tenant slot free (host bookkeeping only -- the tables stay
@@ -249,7 +252,10 @@ class MultiTenantFusedEvaluator {
   void launch(const simt::Kernel& kernel, unsigned batch) {
     simt::LaunchConfig cfg{batch, options_.block_size, shared_bytes_};
     cfg.detect_races = options_.detect_races;
-    (void)device_.launch(kernel, cfg);
+    // Which tables each block reads is the staged tenant sequence: it
+    // is the launch's footprint tag.
+    (void)device_.launch(kernel, cfg,
+                         simt::FootprintTag(staged_tenants_.data(), batch));
   }
 
   /// The fused kernel with tenant-offset table reads.  Phases 1 and 3
@@ -274,6 +280,9 @@ class MultiTenantFusedEvaluator {
 
     simt::Kernel kernel;
     kernel.name = values_only ? "mt_fused_vals" : "mt_fused";
+    // Stats depend on the tenant tables (set_tenant invalidates) and on
+    // which tenant each point routes to (the footprint tag).
+    kernel.memo.enable(capacity_);
     kernel.phases.push_back(
         detail::make_fused_point_phase<S>(x_, n, d, svars_off, powers_off));
 

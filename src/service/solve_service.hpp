@@ -174,6 +174,7 @@ class SolveService {
     device_charge_.assign(registry_.size(), 0.0);
     device_busy_us_.assign(registry_.size(), 0.0);
     device_log_watermark_.assign(registry_.size(), 0);
+    kernel_inst_.resize(registry_.size());
     fleet_spec_list_ = registry_spec_list();
     tracer_.set_devices(registry_.size());
     tracker_metrics_ = obs::TrackerMetrics::from_registry(metrics_);
@@ -966,13 +967,9 @@ class SolveService {
         for (const simt::KernelStats& k : log.kernels) {
           const double kus = simt::estimate_kernel_us(k, dev.spec(),
                                                       config_.cost);
-          metrics_.counter("polyeval_kernel_launches_total", "kernel",
-                           k.kernel)
-              .inc();
-          metrics_
-              .float_counter("polyeval_kernel_modeled_us_total", "kernel",
-                             k.kernel)
-              .add(kus);
+          const KernelInstruments& ki = kernel_instruments(d, k.kernel);
+          ki.launches->inc();
+          ki.modeled_us->add(kus);
           if (full_trace)
             tracer_.add_device_slice(d, obs::Tracer::DeviceSlice::kCompute,
                                      k.kernel, cursor, cursor + kus, 0);
@@ -1179,6 +1176,31 @@ class SolveService {
     std::vector<obs::Gauge*> device_util;
   };
 
+  /// The per-kernel launch families' handles for one kernel kind.
+  struct KernelInstruments {
+    std::string kernel;
+    obs::Counter* launches = nullptr;
+    obs::FloatCounter* modeled_us = nullptr;
+  };
+
+  /// Handles for `kernel`'s launch counters, resolved by label on the
+  /// device's first sighting of the kind and found by a short linear
+  /// scan afterwards.  Each device's list is only touched by its own
+  /// tick thread; registering on first sighting (not up front) keeps
+  /// the scrape identical -- a family appears once its kernel runs.
+  const KernelInstruments& kernel_instruments(std::size_t d,
+                                              const std::string& kernel) {
+    auto& kinds = kernel_inst_[d];
+    for (const auto& ki : kinds)
+      if (ki.kernel == kernel) return ki;
+    kinds.push_back(
+        {kernel,
+         &metrics_.counter("polyeval_kernel_launches_total", "kernel", kernel),
+         &metrics_.float_counter("polyeval_kernel_modeled_us_total", "kernel",
+                                 kernel)});
+    return kinds.back();
+  }
+
   void resolve_instruments() {
     auto& r = metrics_;
     inst_.submitted = &r.counter("polyeval_requests_submitted_total",
@@ -1301,6 +1323,7 @@ class SolveService {
   obs::MetricsRegistry metrics_;
   obs::TrackerMetrics tracker_metrics_;
   Instruments inst_;
+  std::vector<std::vector<KernelInstruments>> kernel_inst_;  ///< per device
   obs::Tracer tracer_;
   std::size_t tune_fold_from_ = 0;  ///< Autotuner profile-fold watermark
 };

@@ -128,20 +128,28 @@ class Device {
   // -- execution --------------------------------------------------------
   /// Launch through the device-owned engine scratch: after warm-up,
   /// repeated launches of same-shaped kernels do not allocate.
-  KernelStats launch(const Kernel& kernel, const LaunchConfig& cfg) {
+  /// `footprint` is the launch's part of a memoizing kernel's stats key
+  /// (see StatsMemo); an attached auditor forces the instrumented path.
+  KernelStats launch(const Kernel& kernel, const LaunchConfig& cfg,
+                     FootprintTag footprint = {}) {
     if (audit_ != nullptr && cfg.audit == nullptr) {
       LaunchConfig audited = cfg;
       audited.audit = audit_;
-      KernelStats stats = run_kernel(kernel, audited, spec_, pool_, scratch_);
+      KernelStats stats = run_kernel(kernel, audited, spec_, pool_, scratch_, footprint);
       log_.kernels.push_back(stats);
       return stats;
     }
-    KernelStats stats = run_kernel(kernel, cfg, spec_, pool_, scratch_);
+    KernelStats stats = run_kernel(kernel, cfg, spec_, pool_, scratch_, footprint);
     log_.kernels.push_back(stats);
     return stats;
   }
 
   [[nodiscard]] const LaunchLog& log() const noexcept { return log_; }
+  /// Launches that replayed a kernel's recorded stats on the lean
+  /// engine path instead of running instrumented (see StatsMemo).
+  [[nodiscard]] std::uint64_t replayed_launches() const noexcept {
+    return scratch_.replayed_launches;
+  }
   void clear_log() { log_.clear(); }
 
   /// Modeled engine-readiness clocks shared by this device's streams

@@ -135,6 +135,58 @@ void WarpCollector::record_shared(std::size_t ordinal, std::uint32_t first_word,
 
 }  // namespace detail
 
+void StatsMemo::enable(std::size_t tag_capacity) {
+  const std::lock_guard lock(mutex_);
+  tag_capacity_ = tag_capacity;
+  entries_.assign(kEntries, Entry{});
+  for (auto& e : entries_) e.tag.reserve(tag_capacity);
+  clock_ = 0;
+}
+
+void StatsMemo::invalidate() noexcept {
+  const std::lock_guard lock(mutex_);
+  for (auto& e : entries_) e.valid = false;
+}
+
+bool StatsMemo::replay(const LaunchConfig& cfg, const DeviceSpec& spec,
+                       FootprintTag tag, KernelStats& out) {
+  const std::lock_guard lock(mutex_);
+  if (!(spec == spec_)) return false;
+  for (auto& e : entries_) {
+    if (!e.matches(cfg, tag)) continue;
+    e.last_use = ++clock_;
+    out = e.stats;
+    return true;
+  }
+  return false;
+}
+
+void StatsMemo::record(const LaunchConfig& cfg, const DeviceSpec& spec,
+                       FootprintTag tag, const KernelStats& stats) {
+  const std::lock_guard lock(mutex_);
+  if (entries_.empty() || tag.size() > tag_capacity_) return;
+  if (!(spec == spec_)) {
+    // Entries describe one device geometry; a launch on another starts over.
+    for (auto& e : entries_) e.valid = false;
+    spec_ = spec;
+  }
+  Entry* slot = &entries_.front();
+  for (auto& e : entries_) {
+    if (!e.valid) {
+      slot = &e;
+      break;
+    }
+    if (e.last_use < slot->last_use) slot = &e;
+  }
+  slot->valid = true;
+  slot->grid_blocks = cfg.grid_blocks;
+  slot->block_threads = cfg.block_threads;
+  slot->shared_bytes = cfg.shared_bytes;
+  slot->tag.assign(tag.begin(), tag.end());
+  slot->last_use = ++clock_;
+  slot->stats = stats;
+}
+
 void BlockScratch::fold(const detail::WarpCollector& col, const DeviceSpec& spec,
                         detail::BlockAccum& accum) {
   for (std::size_t i = 0; i < col.loads_used; ++i) {
@@ -274,9 +326,31 @@ struct BlockRunner {
   }
 };
 
+/// Runs the blocks of a memo-replay launch: the same blocks, phases and
+/// thread order as BlockRunner, with none of its bookkeeping.
+struct LeanRunner {
+  const Kernel& kernel;
+  const LaunchConfig& cfg;
+  const DeviceSpec& spec;
+
+  void run_range(BlockScratch& scratch, std::size_t begin, std::size_t end) const {
+    for (std::size_t b = begin; b < end; ++b) {
+      scratch.shared.reset(cfg.shared_bytes);
+      for (unsigned phase_index = 0; phase_index < kernel.phases.size(); ++phase_index) {
+        const auto& phase = kernel.phases[phase_index];
+        for (unsigned t = 0; t < cfg.block_threads; ++t) {
+          ThreadContext ctx(static_cast<unsigned>(b), t, phase_index, cfg, spec,
+                            scratch.shared);
+          phase(ctx);
+        }
+      }
+    }
+  }
+};
+
 KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
                        const DeviceSpec& spec, ThreadPool& pool,
-                       EngineScratch& scratch) {
+                       EngineScratch& scratch, FootprintTag footprint) {
   if (cfg.grid_blocks == 0) throw LaunchError(kernel.name + ": empty grid");
   if (cfg.block_threads == 0 || cfg.block_threads > spec.max_threads_per_block)
     throw LaunchError(kernel.name + ": invalid block size " +
@@ -287,6 +361,23 @@ KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
                       std::to_string(spec.shared_memory_per_block) + " available");
 
   scratch.prepare(pool.participant_count());
+  // Checked and audited launches must see every access, so only plain
+  // launches of a memoizing kernel may replay.
+  const bool memoizable =
+      kernel.memo.enabled() && !cfg.detect_races && cfg.audit == nullptr;
+  if (memoizable) {
+    KernelStats replayed;
+    if (kernel.memo.replay(cfg, spec, footprint, replayed)) {
+      const LeanRunner lean{kernel, cfg, spec};
+      pool.parallel_for_ranges(
+          cfg.grid_blocks, pool.default_chunk(cfg.grid_blocks),
+          [&](unsigned participant, std::size_t begin, std::size_t end) {
+            lean.run_range(scratch.per_participant[participant], begin, end);
+          });
+      ++scratch.replayed_launches;
+      return replayed;
+    }
+  }
   // Pre-size every participant's scratch for this launch shape: a
   // participant that sat out earlier launches must not allocate when a
   // chunk lands on it later (the zero-alloc steady-state guarantee).
@@ -372,6 +463,7 @@ KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
   stats.warps_on_busiest_sm =
       static_cast<std::uint64_t>(stats.warps_per_block) *
       ((cfg.grid_blocks + spec.multiprocessors - 1) / spec.multiprocessors);
+  if (memoizable) kernel.memo.record(cfg, spec, footprint, stats);
   return stats;
 }
 

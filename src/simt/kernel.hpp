@@ -18,10 +18,12 @@
 /// periodically (it keeps capacity) for the hot path to stay
 /// allocation-free end to end.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,9 +59,94 @@ struct LaunchConfig {
 
 using Phase = std::function<void(ThreadContext&)>;
 
+/// What a launch's access footprint depends on beyond its geometry and
+/// the kernel's own construction-time tables -- e.g. the per-point
+/// tenant ids of a multi-tenant launch.  Compared element by element,
+/// never hashed.
+using FootprintTag = std::span<const unsigned>;
+
+/// Record once, replay after: a kernel whose memory-access pattern is
+/// fixed by its structure (every index comes from construction-time
+/// tables and the thread/block ids, never from point values) produces
+/// the same KernelStats on every launch with the same key.  The first
+/// launch of a key runs fully instrumented and its stats are recorded
+/// here; later launches with that key run the lean engine path (no
+/// access recording, fold, per-thread op arrays or journals) and return
+/// the recorded stats.  Outputs and the modeled clock are unchanged.
+///
+/// The key is (grid_blocks, block_threads, shared_bytes, the device
+/// spec, the FootprintTag).  Storage is fixed-capacity and allocated by
+/// enable(), so recording on a miss does not allocate; the
+/// least-recently-used entry is overwritten when the memo is full.  A
+/// builder whose tables change after construction must invalidate().
+/// Lookups and records lock a mutex, so a kernel may be launched from
+/// several threads.  Disabled (never consulted) unless enabled.
+class StatsMemo {
+ public:
+  static constexpr std::size_t kEntries = 16;
+
+  StatsMemo() = default;
+  /// A copy starts cold with the same capacity: it may be launched with
+  /// different buffers bound, so it must record its own stats.
+  StatsMemo(const StatsMemo& other) {
+    if (other.enabled()) enable(other.tag_capacity_);
+  }
+  StatsMemo& operator=(const StatsMemo& other) {
+    if (this == &other) return *this;
+    if (other.enabled()) {
+      enable(other.tag_capacity_);
+    } else {
+      const std::lock_guard lock(mutex_);
+      entries_.clear();
+    }
+    return *this;
+  }
+
+  /// Opt in: preallocate kEntries slots whose tags hold up to
+  /// `tag_capacity` ids.  Clears any recorded stats.
+  void enable(std::size_t tag_capacity);
+  /// Forget every recorded key (the kernel's tables changed).
+  void invalidate() noexcept;
+  [[nodiscard]] bool enabled() const noexcept { return !entries_.empty(); }
+
+  /// On a key hit copy the recorded stats into `out` and return true.
+  bool replay(const LaunchConfig& cfg, const DeviceSpec& spec, FootprintTag tag,
+              KernelStats& out);
+  /// Remember an instrumented launch's stats (tags longer than the
+  /// capacity are not recorded).
+  void record(const LaunchConfig& cfg, const DeviceSpec& spec, FootprintTag tag,
+              const KernelStats& stats);
+
+ private:
+  struct Entry {
+    bool valid = false;
+    unsigned grid_blocks = 0;
+    unsigned block_threads = 0;
+    std::size_t shared_bytes = 0;
+    std::vector<unsigned> tag;  ///< capacity reserved by enable()
+    std::uint64_t last_use = 0;
+    KernelStats stats;
+
+    [[nodiscard]] bool matches(const LaunchConfig& cfg, FootprintTag t) const noexcept {
+      return valid && grid_blocks == cfg.grid_blocks &&
+             block_threads == cfg.block_threads && shared_bytes == cfg.shared_bytes &&
+             std::equal(tag.begin(), tag.end(), t.begin(), t.end());
+    }
+  };
+
+  std::mutex mutex_;
+  std::vector<Entry> entries_;
+  std::size_t tag_capacity_ = 0;
+  DeviceSpec spec_;  ///< the spec every valid entry was recorded under
+  std::uint64_t clock_ = 0;
+};
+
 struct Kernel {
   std::string name;
   std::vector<Phase> phases;
+  /// Launch-stats cache; a cache is logically const, so launches of a
+  /// const Kernel may fill it.
+  mutable StatsMemo memo;
 };
 
 namespace detail {
@@ -261,6 +348,8 @@ struct EngineScratch {
   /// Largest collector shape any participant has reached; replayed onto
   /// every participant at launch start (see BlockScratch::warm).
   detail::WarpCollector::Shape observed_shape;
+  /// Launches served from a kernel's StatsMemo (run on the lean path).
+  std::uint64_t replayed_launches = 0;
 
   void prepare(unsigned participants) {
     if (per_participant.size() < participants) per_participant.resize(participants);
@@ -295,8 +384,11 @@ class ThreadContext {
   }
 
   // -- global memory ----------------------------------------------------
+  // A lean (memo-replay) context has no collector: the access itself is
+  // all that is left of each memory operation.
   template <class T>
   [[nodiscard]] T load(const GlobalBuffer<T>& buf, std::size_t i) {
+    if (collector_ == nullptr) return buf.raw()[i];
     const std::uint64_t address = buf.device_address() + i * sizeof(T);
     collector_->record_global(false, load_ord_++, address, sizeof(T),
                               spec_->global_transaction_bytes);
@@ -312,6 +404,10 @@ class ThreadContext {
 
   template <class T>
   void store(const GlobalBuffer<T>& buf, std::size_t i, const T& v) {
+    if (collector_ == nullptr) {
+      buf.raw()[i] = v;
+      return;
+    }
     const std::uint64_t address = buf.device_address() + i * sizeof(T);
     collector_->record_global(true, store_ord_++, address, sizeof(T),
                               spec_->global_transaction_bytes);
@@ -376,6 +472,7 @@ class ThreadContext {
 
  private:
   friend struct BlockRunner;
+  friend struct LeanRunner;
 
   ThreadContext(unsigned block, unsigned thread, unsigned phase,
                 const LaunchConfig& cfg, const DeviceSpec& spec,
@@ -387,6 +484,15 @@ class ThreadContext {
         shared_(&shared), collector_(&collector), shared_races_(shared_races),
         global_races_(global_races), race_detail_(race_detail),
         audit_(cfg.audit) {}
+
+  /// The lean context of a memo-replay launch: no collector, journals
+  /// or auditor, so every access is just the memory operation.
+  ThreadContext(unsigned block, unsigned thread, unsigned phase,
+                const LaunchConfig& cfg, const DeviceSpec& spec,
+                SharedSpace& shared) noexcept
+      : block_(block), thread_(thread), phase_(phase), cfg_(&cfg), spec_(&spec),
+        shared_(&shared), collector_(nullptr), shared_races_(nullptr),
+        global_races_(nullptr), race_detail_(nullptr), audit_(nullptr) {}
 
   [[nodiscard]] AuditSite audit_site() const noexcept {
     return AuditSite{block_, phase_, warp(), lane(), thread_};
@@ -401,6 +507,7 @@ class ThreadContext {
 
   /// Returns false when an attached auditor squashed the access.
   bool record_shared_access(std::size_t byte_offset, std::size_t bytes, bool is_write) {
+    if (collector_ == nullptr) return true;
     const auto first_word = static_cast<std::uint32_t>(byte_offset / spec_->shared_bank_width_bytes);
     const std::size_t words =
         (byte_offset % spec_->shared_bank_width_bytes + bytes +
@@ -447,9 +554,15 @@ class ThreadContext {
 /// `scratch` carries the reusable engine state; launches through a
 /// Device share one EngineScratch, which is what makes the steady-state
 /// path allocation-free.
+///
+/// A kernel with an enabled StatsMemo replays its recorded stats on a
+/// key hit and runs lean; `footprint` is the launch's part of that key.
+/// Race detection, an auditor, or a key miss force the instrumented
+/// path (a miss then records its stats).
 [[nodiscard]] KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
                                      const DeviceSpec& spec, ThreadPool& pool,
-                                     EngineScratch& scratch);
+                                     EngineScratch& scratch,
+                                     FootprintTag footprint = {});
 
 /// Convenience overload with throwaway scratch (tests, one-shot launches).
 [[nodiscard]] KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,

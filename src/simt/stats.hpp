@@ -58,6 +58,10 @@ struct KernelStats {
   std::uint64_t warps_on_busiest_sm = 0;  ///< serialization depth
   std::size_t shared_bytes_per_block = 0;
 
+  /// Field-wise equality: a memo-replayed launch must equal the
+  /// instrumented record it replays.
+  friend bool operator==(const KernelStats&, const KernelStats&) = default;
+
   /// Coalescing efficiency of loads: 1.0 means every request hit the
   /// minimum possible number of segments.
   [[nodiscard]] double load_coalescing_ratio() const noexcept {

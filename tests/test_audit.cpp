@@ -105,6 +105,55 @@ TEST(AuditFixtures, NondeterministicAccumulationFlagged) {
   EXPECT_EQ(f.phase, 1u);  // the RMW store's phase
 }
 
+TEST(AuditFixtures, FootprintVarianceFlagged) {
+  simt::Device device;
+  KernelAuditor auditor;
+  auditor.attach(device);
+  audit::fixtures::run_footprint_variance(auditor, device);
+
+  ASSERT_EQ(count_kind(auditor, FindingKind::kFootprintVariance), 1u);
+  const auto& f = auditor.findings().front();
+  EXPECT_EQ(f.kernel, "fx_data_index");
+  EXPECT_NE(f.detail.find("global_load_transactions"), std::string::npos) << f.detail;
+  // Audited launches always run instrumented: nothing was replayed.
+  EXPECT_EQ(device.replayed_launches(), 0u);
+}
+
+TEST(Audit, ProductionFusedKernelsAreFootprintInvariant) {
+  poly::SystemSpec spec;
+  spec.dimension = 6;
+  spec.monomials_per_polynomial = 6;
+  spec.variables_per_monomial = 3;
+  const auto system = poly::make_random_system(spec);
+
+  simt::Device device;
+  KernelAuditor auditor;
+  auditor.attach(device);
+  core::FusedGpuEvaluator<double>::Options opt;
+  opt.tuning = tune::TuningMode::kHeuristic;
+  core::FusedGpuEvaluator<double> ev(device, system, 4, opt);
+
+  std::vector<simt::KernelStats> runs[2];
+  for (unsigned run = 0; run < 2; ++run) {
+    std::vector<std::vector<Cd>> points;
+    for (unsigned p = 0; p < 4; ++p)
+      points.push_back(
+          poly::make_random_point<double>(spec.dimension, 100 + 50 * run + p));
+    std::vector<poly::EvalResult<double>> out(4, poly::EvalResult<double>(6));
+    std::vector<Cd> values(4 * 6);
+    device.clear_log();
+    auditor.begin_epoch();
+    ev.evaluate_range(points, 0, 4, std::span<poly::EvalResult<double>>(out));
+    ev.evaluate_values_range(points, 0, 4, std::span<Cd>(values));
+    runs[run] = device.log().kernels;
+  }
+  ASSERT_EQ(runs[0].size(), 2u);
+  ASSERT_EQ(runs[1].size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_TRUE(auditor.check_footprint_invariance(runs[0][i], runs[1][i]));
+  EXPECT_EQ(auditor.total_findings(), 0u);
+}
+
 TEST(Audit, ProductionFusedKernelAuditsClean) {
   poly::SystemSpec spec;
   spec.dimension = 6;

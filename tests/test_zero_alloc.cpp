@@ -14,6 +14,7 @@
 
 #include "core/batch_evaluator.hpp"
 #include "core/fused_evaluator.hpp"
+#include "core/multitenant_evaluator.hpp"
 #include "core/pipelined_evaluator.hpp"
 #include "core/sharded_evaluator.hpp"
 #include "homotopy/batch_tracker.hpp"
@@ -59,13 +60,14 @@ namespace {
 using namespace polyeval;
 using Cd = cplx::Complex<double>;
 
-poly::PolynomialSystem make_system(unsigned n, unsigned m, unsigned k, unsigned d) {
+poly::PolynomialSystem make_system(unsigned n, unsigned m, unsigned k, unsigned d,
+                                   std::uint64_t seed = 1234) {
   poly::SystemSpec spec;
   spec.dimension = n;
   spec.monomials_per_polynomial = m;
   spec.variables_per_monomial = k;
   spec.max_exponent = d;
-  spec.seed = 1234;
+  spec.seed = seed;
   return poly::make_random_system(spec);
 }
 
@@ -221,6 +223,74 @@ TEST(ZeroAlloc, FusedValuesRangeSteadyState) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state evaluate_values_range allocated " << (after - before)
       << " times over 10 calls";
+}
+
+TEST(ZeroAlloc, FusedMemoHitLaunchesSteadyState) {
+  // Steady-state fused launches replay their recorded stats on the lean
+  // engine path; the measured region must really be memo hits.
+  const auto sys = make_system(8, 6, 4, 3);
+  simt::Device device;
+  core::FusedGpuEvaluator<double> gpu(device, sys, 4);
+  const auto points = make_points(4, 8);
+  std::vector<poly::EvalResult<double>> results(4, poly::EvalResult<double>(8));
+  std::vector<Cd> values(4 * 8);
+  const auto run = [&] {
+    device.clear_log();
+    gpu.evaluate_range(points, 0, 4, std::span<poly::EvalResult<double>>(results));
+    gpu.evaluate_values_range(points, 0, 4, std::span<Cd>(values));
+  };
+  for (int i = 0; i < 3; ++i) run();
+
+  const std::uint64_t replayed_before = device.replayed_launches();
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 10; ++i) run();
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << "memo-hit fused launches allocated " << (after - before) << " times";
+  EXPECT_EQ(device.replayed_launches() - replayed_before, 20u);
+}
+
+TEST(ZeroAlloc, MultiTenantMemoHitsAndMissesSteadyState) {
+  // The multi-tenant memo keys on the staged tenant sequence: repeated
+  // sequences replay, and a never-seen sequence (what a path retiring
+  // or a request arriving produces) runs instrumented and records into
+  // the memo's preallocated storage -- neither may allocate.
+  const auto sys_a = make_system(8, 6, 4, 3);
+  const auto sys_b = make_system(8, 6, 4, 3, /*seed=*/4321);
+  simt::Device device;
+  core::MultiTenantFusedEvaluator<double> mt(
+      device, core::pack_system(sys_a).structure, /*max_tenants=*/2, /*batch=*/4);
+  mt.set_tenant(0, sys_a);
+  mt.set_tenant(1, sys_b);
+  const auto points = make_points(4, 8);
+  std::vector<poly::EvalResult<double>> results(4, poly::EvalResult<double>(8));
+  std::vector<Cd> values(4 * 8);
+  const std::vector<unsigned> hot_a = {0, 1, 1, 0}, hot_b = {1, 1, 0, 0};
+  const std::vector<unsigned> fresh = {1, 0, 1, 1};
+  const auto run = [&](const std::vector<unsigned>& tenants, std::size_t count) {
+    device.clear_log();
+    mt.bind_tenants(std::span<const unsigned>(tenants));
+    mt.evaluate_range(points, 0, count,
+                      std::span<poly::EvalResult<double>>(results));
+    mt.evaluate_values_range(points, 0, count, std::span<Cd>(values));
+  };
+  for (int i = 0; i < 3; ++i) {
+    run(hot_a, 4);
+    run(hot_b, 4);
+  }
+
+  const std::uint64_t replayed_before = device.replayed_launches();
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 5; ++i) {
+    run(hot_a, 4);
+    run(hot_b, 4);
+  }
+  run(fresh, 4);  // memo miss: instrumented, then recorded
+  run(fresh, 3);  // a shorter tag (a retired path): another miss
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << "multi-tenant memo hits/misses allocated " << (after - before) << " times";
+  EXPECT_EQ(device.replayed_launches() - replayed_before, 20u);
 }
 
 TEST(ZeroAlloc, BatchPathTrackerSteadyStateRounds) {

@@ -10,12 +10,16 @@
 ///  2. **Production sweep** -- every production kernel builder (fused,
 ///     values-only, batch triple, pipelined, multi-tenant, Newton
 ///     refinement) runs audited across Table-1-shaped systems x
-///     {double, dd, qd} x representative geometries.  Any finding fails
-///     the run.
+///     {double, dd, qd} x representative geometries.  The kernels that
+///     memoize their launch stats (fused and multi-tenant, full and
+///     values-only) are also re-run on a second point set and must
+///     produce identical stats (footprint invariance).  Any finding
+///     fails the run.
 ///
 /// Results land in AUDIT_kernels.json (override with --out).  --quick
 /// trims the matrix for pre-commit runs; CI runs the full sweep.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -175,8 +179,11 @@ void sweep_precision(std::vector<SweepEntry>& entries, const char* precision,
   constexpr unsigned kBatch = 4;
   std::vector<std::vector<C>> points;
   points.reserve(kBatch);
-  for (unsigned p = 0; p < kBatch; ++p)
+  std::vector<std::vector<C>> points_b;
+  for (unsigned p = 0; p < kBatch; ++p) {
     points.push_back(poly::make_random_point<S>(spec.dimension, 7000 + p));
+    points_b.push_back(poly::make_random_point<S>(spec.dimension, 8000 + p));
+  }
   std::vector<poly::EvalResult<S>> results(kBatch,
                                            poly::EvalResult<S>(spec.dimension));
 
@@ -245,6 +252,57 @@ void sweep_precision(std::vector<SweepEntry>& entries, const char* precision,
     aud.begin_epoch();
     std::vector<C> values(std::size_t{kBatch} * spec.dimension);
     ev.evaluate_values_range(points, 0, kBatch, std::span<C>(values));
+  });
+
+  // Footprint invariance: the memoizing kernels replay their first
+  // launch's stats, so two point sets at one key (geometry and, for the
+  // multi-tenant kernels, one tenant sequence) must give equal stats.
+  // The auditor is attached, so both runs are instrumented.
+  const auto compare_runs = [&](polyeval::simt::Device& dev, KernelAuditor& aud,
+                               auto&& run_on) {
+    dev.clear_log();
+    run_on(points);
+    const std::vector<polyeval::simt::KernelStats> first = dev.log().kernels;
+    dev.clear_log();
+    run_on(points_b);
+    const auto& second = dev.log().kernels;
+    for (std::size_t i = 0; i < std::min(first.size(), second.size()); ++i)
+      (void)aud.check_footprint_invariance(first[i], second[i]);
+  };
+
+  audited(ctx, "footprint_fused", [&](polyeval::simt::Device& dev, KernelAuditor& aud) {
+    typename core::FusedGpuEvaluator<S>::Options opt;
+    opt.block_size = geo.block_size;
+    opt.interchange = geo.interchange;
+    opt.tuning = polyeval::tune::TuningMode::kHeuristic;
+    core::FusedGpuEvaluator<S> ev(dev, system, kBatch, opt);
+    compare_runs(dev, aud, [&](const std::vector<std::vector<C>>& pts) {
+      aud.begin_epoch();
+      ev.evaluate_range(pts, 0, kBatch, std::span<poly::EvalResult<S>>(results));
+      std::vector<C> values(std::size_t{kBatch} * spec.dimension);
+      ev.evaluate_values_range(pts, 0, kBatch, std::span<C>(values));
+    });
+  });
+
+  audited(ctx, "footprint_multi_tenant",
+          [&](polyeval::simt::Device& dev, KernelAuditor& aud) {
+    typename core::MultiTenantFusedEvaluator<S>::Options opt;
+    opt.block_size = geo.block_size;
+    opt.interchange = geo.interchange;
+    core::MultiTenantFusedEvaluator<S> ev(dev, spec.structure(), /*max_tenants=*/2,
+                                          kBatch, opt);
+    poly::SystemSpec other = spec;
+    other.seed += 1;
+    ev.set_tenant(0, system);
+    ev.set_tenant(1, poly::make_random_system(other));
+    const std::vector<unsigned> tenants = {0, 1, 1, 0};
+    ev.bind_tenants(std::span<const unsigned>(tenants));
+    compare_runs(dev, aud, [&](const std::vector<std::vector<C>>& pts) {
+      aud.begin_epoch();
+      ev.evaluate_range(pts, 0, kBatch, std::span<poly::EvalResult<S>>(results));
+      std::vector<C> values(std::size_t{kBatch} * spec.dimension);
+      ev.evaluate_values_range(pts, 0, kBatch, std::span<C>(values));
+    });
   });
 
   if (quick) return;
@@ -391,6 +449,13 @@ std::vector<FixtureEntry> run_fixture_gate() {
           return std::string("expected kFootprintDivergence");
         if (!has_finding(fs, FindingKind::kCountDivergence, "fx_diverge"))
           return std::string("expected kCountDivergence");
+        return std::string();
+      });
+
+  run("footprint_variance", fixtures::run_footprint_variance,
+      [](const std::vector<Finding>& fs) {
+        if (!has_finding(fs, FindingKind::kFootprintVariance, "fx_data_index"))
+          return std::string("expected kFootprintVariance in fx_data_index");
         return std::string();
       });
 
