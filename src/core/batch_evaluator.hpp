@@ -29,7 +29,6 @@ class BatchGpuEvaluator {
     /// 0 = auto: measured tuning (or the paper's one-warp 32-thread
     /// seed in kHeuristic mode).  Nonzero pins it.
     unsigned block_size = 0;
-    ExponentEncoding encoding = ExponentEncoding::kChar;
     /// Element layout of the CommonFactors/Mons interchange buffers;
     /// results are bitwise identical under either (see layout.hpp).
     /// nullopt = auto (tuned, or AoS in kHeuristic mode).
@@ -54,7 +53,7 @@ class BatchGpuEvaluator {
     resolve_options(system);
     const auto s = packed_.structure;
 
-    const auto encoded = encode_exponents(options_.encoding, packed_.exponents);
+    const auto encoded = encode_exponents(ExponentEncoding::kChar, packed_.exponents);
     positions_ =
         device_.alloc_constant<unsigned char>(packed_.positions.size(), "Positions");
     exponents_ = device_.alloc_constant<unsigned char>(encoded.size(), "Exponents");
@@ -72,16 +71,8 @@ class BatchGpuEvaluator {
     outputs_ = device_.alloc_global<C>(std::size_t{capacity_} * layout_.num_outputs(),
                                        "Outputs[batch]");
 
-    // exponent factors folded in the working precision, as in GpuEvaluator
-    std::vector<C> coeffs(packed_.coeffs.size());
-    for (std::uint64_t t = 0; t < layout_.total_monomials(); ++t) {
-      const auto raw = C::from_double(packed_.coeffs[layout_.coeff_index(s.k, t)]);
-      for (unsigned j = 0; j < s.k; ++j) {
-        const double a = packed_.exponents[layout_.support_index(t, j)] + 1.0;
-        coeffs[layout_.coeff_index(j, t)] = raw * prec::ScalarTraits<S>::from_double(a);
-      }
-      coeffs[layout_.coeff_index(s.k, t)] = raw;
-    }
+    std::vector<C> coeffs(layout_.coeffs_size());
+    detail::fold_coefficients<S>(packed_, layout_, std::span<C>(coeffs));
     device_.upload(coeffs_, std::span<const C>(coeffs));
     mons_.fill_zero(device_);
 
@@ -130,22 +121,14 @@ class BatchGpuEvaluator {
   void evaluate_range(const std::vector<std::vector<C>>& points, std::size_t first,
                       std::size_t count, std::span<poly::EvalResult<S>> out) {
     const unsigned s_n = packed_.structure.n;
-    if (count == 0 || count > capacity_)
-      throw std::invalid_argument("BatchGpuEvaluator: bad batch size");
-    if (first > points.size() || count > points.size() - first || out.size() < count)
-      throw std::invalid_argument("BatchGpuEvaluator: bad point range");
+    detail::check_range("BatchGpuEvaluator", points, first, count, capacity_, s_n,
+                        out.size(), count);
     const auto batch = static_cast<unsigned>(count);
-    for (std::size_t p = first; p < first + count; ++p)
-      if (points[p].size() != s_n)
-        throw std::invalid_argument("BatchGpuEvaluator: point has wrong dimension");
 
     const std::size_t kernels_before = device_.log().kernels.size();
     const simt::TransferStats transfers_before = device_.log().transfers;
 
-    flat_.resize(std::size_t{batch} * s_n);
-    for (unsigned p = 0; p < batch; ++p)
-      std::copy(points[first + p].begin(), points[first + p].end(),
-                flat_.begin() + std::size_t{p} * s_n);
+    detail::pack_points(points, first, count, s_n, flat_);
     device_.upload(x_, std::span<const C>(flat_));
 
     (void)device_.launch(kernel1_,
@@ -227,7 +210,6 @@ class BatchGpuEvaluator {
     const unsigned n = s.n, d = s.d, k = s.k;
     const std::uint64_t monomials = layout_.total_monomials();
     const auto layout = layout_;
-    const auto enc = options_.encoding;
     const unsigned bpp = blocks_per_point_;
     const unsigned obpp = out_blocks_per_point_;
     const auto x = x_;
@@ -240,13 +222,6 @@ class BatchGpuEvaluator {
 
     shared1_ = std::size_t{n} * d * sizeof(C);
     shared2_ = (std::size_t{n} + std::size_t{options_.block_size} * (k + 1)) * sizeof(C);
-
-    const auto decode = [exponents, enc](simt::ThreadContext& ctx,
-                                         std::uint64_t index) -> unsigned {
-      if (enc == ExponentEncoding::kChar) return ctx.load_constant(exponents, index);
-      const unsigned char byte = ctx.load_constant(exponents, index / 2);
-      return index % 2 == 0 ? (byte & 0x0Fu) : (byte >> 4u);
-    };
 
     // Kernel names stay <= 15 chars: KernelStats copies them per launch
     // and SSO-sized strings keep those copies off the allocator (the
@@ -272,7 +247,7 @@ class BatchGpuEvaluator {
           }
           if (!worked) ctx.mark_inactive();
         },
-        [cf_buf, positions, decode, layout, n, d, k, monomials,
+        [cf_buf, positions, exponents, layout, n, d, k, monomials,
          bpp](simt::ThreadContext& ctx) {
           const std::size_t point = ctx.block_index() / bpp;
           const std::uint64_t g =
@@ -287,7 +262,7 @@ class BatchGpuEvaluator {
           for (unsigned j = 0; j < k; ++j) {
             const auto idx = layout.support_index(g, j);
             const unsigned pos = ctx.load_constant(positions, idx);
-            const unsigned em1 = decode(ctx, idx);
+            const unsigned em1 = ctx.load_constant(exponents, idx);
             const C val = powers.get(std::size_t{em1} * n + pos);
             if (j == 0) {
               cf = val;
@@ -312,7 +287,7 @@ class BatchGpuEvaluator {
           }
           if (!worked) ctx.mark_inactive();
         },
-        [cf_buf, coeffs, mons, positions, decode, layout, n, k, monomials,
+        [cf_buf, coeffs, mons, positions, layout, n, k, monomials,
          bpp](simt::ThreadContext& ctx) {
           const std::size_t point = ctx.block_index() / bpp;
           const std::uint64_t g =

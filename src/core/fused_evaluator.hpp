@@ -27,11 +27,16 @@
 /// available (GpuEvaluator / BatchGpuEvaluator) as the ablation
 /// baseline.
 ///
-/// The system's device-resident state (constant tables, folded
-/// coefficients, Mons scratch) and the kernel construction live in
-/// detail::FusedSystemState / detail::build_fused_kernel so the
-/// pipelined double-buffered variant (pipelined_evaluator.hpp) can
-/// share them while owning two X/Outputs buffer pairs.
+/// detail::build_fused_kernel is the ONE builder of every fused kernel:
+/// the full and values-only kernels of this evaluator, of the pipelined
+/// double-buffered variant (pipelined_evaluator.hpp) and of the
+/// multi-tenant service evaluator (multitenant_evaluator.hpp).  It is
+/// templated on the output mode and on the table source (one system at
+/// base 0, or tenant-indexed tables), and its phase-2 monomial
+/// arithmetic is written once, so every variant's results are bitwise
+/// equal by construction.  The system's device-resident state lives in
+/// detail::FusedSystemState, which the plain and pipelined evaluators
+/// share while owning their own X/Outputs buffers.
 ///
 /// Steady-state evaluate() calls perform zero heap allocations: the
 /// packed system, kernels, staging vectors and device buffers are all
@@ -44,6 +49,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -85,89 +91,84 @@ namespace polyeval::core {
          kWarp;
 }
 
-/// The historical 4-argument form, pinned to the paper's C2050 (14
-/// SMs).  Callers that know their device pass its SM count instead --
-/// the evaluators feed spec().multiprocessors, so a heterogeneous
-/// registry no longer tunes every shard for a Fermi.
-[[nodiscard]] constexpr unsigned pick_block_size(unsigned n, unsigned m, unsigned k,
-                                                 unsigned batch) noexcept {
-  return pick_block_size(n, m, k, batch, 14u);  // DeviceSpec::tesla_c2050
-}
-
 namespace detail {
 
-/// Device-resident state every fused-pipeline variant shares: the
-/// packed system's constant tables, the coefficient portions folded in
-/// the working precision, the per-point Mons scratch (written and read
-/// inside one launch, so one copy serves any number of in-flight point
-/// buffers) and the shared-memory budget.  The X and Outputs buffers
-/// stay with the evaluator: the plain evaluator owns one pair, the
-/// pipelined evaluator double-buffers two.
+/// The device buffers a fused kernel works on besides its point/output
+/// pair: the constant Positions/Exponents tables (kChar), the folded
+/// coefficients and the per-point Mons scratch (written and read inside
+/// one launch, so one copy serves any number of in-flight point
+/// buffers).  A multi-tenant evaluator's tables hold several systems
+/// back to back at fixed strides.
 template <prec::RealScalar S>
-struct FusedSystemState {
-  using C = cplx::Complex<S>;
-
-  PackedSystem packed;
-  SystemLayout layout;
+struct FusedBuffers {
   simt::ConstantBuffer<unsigned char> positions, exponents;
-  simt::GlobalBuffer<C> coeffs;
+  simt::GlobalBuffer<cplx::Complex<S>> coeffs;
   InterchangeBuffer<S> mons;
-  std::size_t shared_bytes = 0;
+};
 
-  FusedSystemState(simt::Device& device, const poly::PolynomialSystem& system,
-                   unsigned batch_capacity, ExponentEncoding encoding,
-                   InterchangeLayout interchange)
-      : packed(pack_system(system)), layout(packed.structure) {
-    const auto s = packed.structure;
+/// Shared memory of one fused block: the point (n) and the powers table
+/// (n*d).  Unlike the paper's kernel 2, the per-thread L_1..L_{k+1}
+/// strip lives in registers/local memory: it is thread-private, so
+/// shared memory buys it nothing but bank pressure, and keeping it
+/// local lifts the shared-capacity ceiling on the block size.
+template <prec::RealScalar S>
+[[nodiscard]] constexpr std::size_t fused_shared_bytes(
+    const poly::UniformStructure& s) noexcept {
+  return std::size_t{s.n} * (1 + s.d) * sizeof(cplx::Complex<S>);
+}
 
-    const auto encoded = encode_exponents(encoding, packed.exponents);
-    positions =
-        device.alloc_constant<unsigned char>(packed.positions.size(), "Positions");
-    exponents = device.alloc_constant<unsigned char>(encoded.size(), "Exponents");
-    device.upload_constant(positions,
-                           std::span<const unsigned char>(packed.positions));
-    device.upload_constant(exponents, std::span<const unsigned char>(encoded));
+/// What a fused kernel produces per point: all n^2+n outputs, or only
+/// the n values (the corrector-residual fast path).
+enum class FusedOutput { kFull, kValues };
 
-    coeffs = device.alloc_global<C>(layout.coeffs_size(), "Coeffs");
-    mons.allocate(device, std::size_t{batch_capacity} * layout.mons_size(),
-                  "Mons[batch]", interchange);
+/// Table source of the single-tenant kernels: the one system's tables
+/// start at index 0, so a block issues no routing load.  Every index
+/// comes from tables fixed at construction, so the geometry alone keys
+/// the stats memo (empty footprint tag).
+struct SingleTenantTables {
+  static constexpr bool kTenantIndexed = false;
+  static constexpr const char* kNames[2] = {"fused_eval", "fused_values"};
+  static constexpr std::size_t memo_tag_capacity = 0;
 
-    // exponent factors folded in the working precision, as in GpuEvaluator
-    std::vector<C> folded(packed.coeffs.size());
-    for (std::uint64_t t = 0; t < layout.total_monomials(); ++t) {
-      const auto raw = C::from_double(packed.coeffs[layout.coeff_index(s.k, t)]);
-      for (unsigned j = 0; j < s.k; ++j) {
-        const double a = packed.exponents[layout.support_index(t, j)] + 1.0;
-        folded[layout.coeff_index(j, t)] = raw * prec::ScalarTraits<S>::from_double(a);
-      }
-      folded[layout.coeff_index(s.k, t)] = raw;
-    }
-    device.upload(coeffs, std::span<const C>(folded));
-    mons.fill_zero(device);
-
-    // Shared memory: the point (n) and the powers table (n*d).  Unlike
-    // the paper's kernel 2, the per-thread L_1..L_{k+1} strip lives in
-    // registers/local memory: it is thread-private, so shared memory
-    // buys it nothing but bank pressure, and keeping it local lifts the
-    // shared-capacity ceiling on the block size.
-    shared_bytes = std::size_t{s.n} * (1 + s.d) * sizeof(C);
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> bases(
+      simt::ThreadContext& /*ctx*/, std::size_t /*point*/) const noexcept {
+    return {0, 0};
   }
 };
 
-/// Phase 1 shared by the full and values-only fused kernels: one
-/// coalesced read of the block's point serves both the shared copy of
-/// the variables and the powers table (row 0 ones, row e holding x^e).
-/// One lambda serves both kernels, so the tables the values kernel's
-/// bitwise contract depends on cannot drift from the full kernel's.
+/// Table source of the multi-tenant kernels: each block loads its
+/// point's tenant id and offsets every positions/exponents index by
+/// tenant * support_stride and every coefficient index by tenant *
+/// coeff_stride -- offsets change WHICH entries are read, never the
+/// operation order.  Stats depend on the tenant tables (set_tenant
+/// invalidates) and on the routing, which is the footprint tag (up to
+/// one tenant id per point of the batch capacity).
+struct TenantIndexedTables {
+  static constexpr bool kTenantIndexed = true;
+  static constexpr const char* kNames[2] = {"mt_fused", "mt_fused_vals"};
+  std::size_t memo_tag_capacity = 0;
+  simt::GlobalBuffer<unsigned> tenant_ids;
+  std::uint64_t support_stride = 0, coeff_stride = 0;
+
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> bases(
+      simt::ThreadContext& ctx, std::size_t point) const {
+    const std::uint64_t tenant = ctx.load(tenant_ids, point);
+    return {tenant * support_stride, tenant * coeff_stride};
+  }
+};
+
+/// Phase 1 of every fused kernel: one coalesced read of the block's
+/// point fills both the shared copy of the variables and the powers
+/// table (row 0 ones, row e holding x^e).  Instantiated per scalar
+/// only, so all four fused kernels of a precision share one copy.
 template <prec::RealScalar S>
-[[nodiscard]] auto make_fused_point_phase(simt::GlobalBuffer<cplx::Complex<S>> x,
-                                          unsigned n, unsigned d,
-                                          std::size_t svars_off,
-                                          std::size_t powers_off) {
+[[nodiscard]] auto fused_point_phase(simt::GlobalBuffer<cplx::Complex<S>> x, unsigned n,
+                                     unsigned d) {
   using C = cplx::Complex<S>;
-  return [x, n, d, svars_off, powers_off](simt::ThreadContext& ctx) {
+  const std::size_t powers_off = std::size_t{n} * sizeof(C);
+  return [x, n, d, powers_off](simt::ThreadContext& ctx) {
     const std::size_t point = ctx.block_index();
-    auto svars = ctx.template shared_array<C>(svars_off, n);
+    auto svars = ctx.template shared_array<C>(0, n);
     auto powers = ctx.template shared_array<C>(powers_off, std::size_t{n} * d);
     bool worked = false;
     for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
@@ -188,92 +189,89 @@ template <prec::RealScalar S>
   };
 }
 
-/// Summation phase shared by the full and values-only fused kernels
-/// (kernel 3 behind the block barrier): each thread sums its share of
-/// the point's first `out_count` outputs -- n^2+n for the full kernel,
-/// n (the value rows only) for the values kernel -- into
-/// out_buf[point * out_count + out].  One lambda, one accumulation
-/// order, so the two kernels' sums cannot drift.
+/// Phase 3 of every fused kernel (kernel 3 behind the block barrier):
+/// each thread sums its share of the point's first `out_count` outputs
+/// -- n^2+n in full mode, the n value rows in values mode -- into
+/// out[point * out_count + o].  Instantiated per scalar only.
 template <prec::RealScalar S>
-[[nodiscard]] auto make_fused_summation_phase(InterchangeBuffer<S> mons,
-                                              simt::GlobalBuffer<cplx::Complex<S>> out_buf,
-                                              SystemLayout layout, unsigned m,
-                                              std::uint64_t out_count) {
+[[nodiscard]] auto fused_summation_phase(
+    InterchangeBuffer<S> mons, simt::GlobalBuffer<cplx::Complex<S>> out,
+    SystemLayout layout, std::uint64_t out_count) {
   using C = cplx::Complex<S>;
-  return [mons, out_buf, layout, m, out_count](simt::ThreadContext& ctx) {
+  const unsigned m = layout.structure().m;
+  return [mons, out, layout, m, out_count](simt::ThreadContext& ctx) {
     const std::size_t point = ctx.block_index();
     const std::size_t mons_base = point * layout.mons_size();
     bool worked = false;
-    for (std::uint64_t out = ctx.thread_index(); out < out_count;
-         out += ctx.block_dim()) {
+    for (std::uint64_t o = ctx.thread_index(); o < out_count; o += ctx.block_dim()) {
       worked = true;
-      C sum = mons.load(ctx, mons_base + layout.mons_index(out, 0));
+      C sum = mons.load(ctx, mons_base + layout.mons_index(o, 0));
       for (unsigned j = 1; j < m; ++j) {
-        sum += mons.load(ctx, mons_base + layout.mons_index(out, j));
+        sum += mons.load(ctx, mons_base + layout.mons_index(o, j));
         ctx.op_cadd();
       }
-      ctx.store(out_buf, point * out_count + out, sum);
+      ctx.store(out, point * out_count + o, sum);
     }
     if (!worked) ctx.mark_inactive();
   };
 }
 
-/// Build the fused single-launch kernel over the given point/output
-/// buffer pair.  The pipelined evaluator calls this twice (one kernel
-/// per double-buffer slot); the buffers are cheap handles captured by
-/// value in the phase closures.
-template <prec::RealScalar S>
-[[nodiscard]] simt::Kernel build_fused_kernel(const FusedSystemState<S>& sys,
-                                              ExponentEncoding enc,
+/// Build a fused single-launch kernel over the given point/output
+/// buffer pair (cheap handles, captured by value in the phase
+/// closures): the shared point/powers load, then the monomial loop
+/// (kernels 1+2 fused: the common factor is produced from the shared
+/// powers table and consumed in-register -- no global interchange),
+/// then behind the block barrier the summation of n^2+n outputs (full
+/// mode) or the n value rows (values mode).
+///
+/// Values mode computes one monomial VALUE per loop trip with EXACTLY
+/// the full mode's operation order -- common factor, the forward prefix
+/// product var(0)..var(k-2) (full mode's L_{k-1} before suffix
+/// scaling), then * cf, * var(k-1), * value coefficient -- so its
+/// values equal a full evaluation's bit for bit and a tracker may mix
+/// the two freely.  It writes only the value slots of Mons, and its
+/// summation reads only the value rows, never the stale derivative
+/// slots.  Both modes are compiled from one source (`if constexpr`, no
+/// per-thread branch on the mode), and every load, store and op_c* is
+/// issued in a fixed per-thread order: the warp collector keys
+/// coalescing on those ordinals, so a reordering can move KernelStats
+/// and the modeled clock (pinned by tests/test_kernel_stats_pin.cpp).
+template <FusedOutput kOut, prec::RealScalar S, class Tables>
+[[nodiscard]] simt::Kernel build_fused_kernel(const SystemLayout& layout,
+                                              const FusedBuffers<S>& bufs,
+                                              const Tables& tables,
                                               simt::GlobalBuffer<cplx::Complex<S>> x,
-                                              simt::GlobalBuffer<cplx::Complex<S>> outputs_buf) {
+                                              simt::GlobalBuffer<cplx::Complex<S>> out) {
   using C = cplx::Complex<S>;
-  const auto s = sys.packed.structure;
-  const unsigned n = s.n, d = s.d, k = s.k, m = s.m;
-  const std::uint64_t monomials = sys.layout.total_monomials();
-  const std::uint64_t outs = sys.layout.num_outputs();
-  const auto layout = sys.layout;
-  const auto coeffs = sys.coeffs;
-  const auto mons = sys.mons;
-  const auto positions = sys.positions;
-  const auto exponents = sys.exponents;
-
-  // Shared layout offsets (bytes).
-  const std::size_t svars_off = 0;
+  constexpr bool kFull = kOut == FusedOutput::kFull;
+  const auto s = layout.structure();
+  const unsigned n = s.n, d = s.d, k = s.k;
+  const std::uint64_t monomials = layout.total_monomials();
+  const std::uint64_t out_count = kFull ? layout.num_outputs() : n;
+  const auto mons = bufs.mons;
+  // Shared layout offsets (bytes): the point, then the powers table.
   const std::size_t powers_off = std::size_t{n} * sizeof(C);
-
-  const auto decode = [exponents, enc](simt::ThreadContext& ctx,
-                                       std::uint64_t index) -> unsigned {
-    if (enc == ExponentEncoding::kChar) return ctx.load_constant(exponents, index);
-    const unsigned char byte = ctx.load_constant(exponents, index / 2);
-    return index % 2 == 0 ? (byte & 0x0Fu) : (byte >> 4u);
-  };
 
   simt::Kernel kernel;
   // <= 15 chars: KernelStats copies the name per launch, and an
   // SSO-sized string keeps that copy off the allocator.
-  kernel.name = "fused_eval";
-  // Every index comes from the constant tables fixed at construction,
-  // so the geometry alone keys the stats memo (empty footprint tag).
-  kernel.memo.enable(0);
+  kernel.name = Tables::kNames[kFull ? 0 : 1];
+  kernel.memo.enable(tables.memo_tag_capacity);
   kernel.phases = {
-      // Phase 1 (kernel 1 stage one, fused): the shared point/powers
-      // load.
-      make_fused_point_phase<S>(x, n, d, svars_off, powers_off),
-      // Phase 2 (kernels 1+2 fused): each thread loops over its share
-      // of the point's monomials.  The common factor is produced from
-      // the shared powers table and consumed in-register -- no global
-      // interchange.
-      [mons, coeffs, positions, decode, layout, n, d, k, monomials, svars_off,
+      // Phase 1: the shared point/powers load.
+      fused_point_phase<S>(x, n, d),
+      // Phase 2: the monomial loop.
+      [mons, positions = bufs.positions, exponents = bufs.exponents,
+       coeffs = bufs.coeffs, tables, layout, n, d, k, monomials,
        powers_off](simt::ThreadContext& ctx) {
         const std::size_t point = ctx.block_index();
-        auto svars = ctx.template shared_array<C>(svars_off, n);
+        const auto [tbase, cbase] = tables.bases(ctx, point);
+        auto svars = ctx.template shared_array<C>(0, n);
         auto powers = ctx.template shared_array<C>(powers_off, std::size_t{n} * d);
-        // Thread-private L_1..L_{k+1} strip and position cache
-        // (registers/local memory, not shared -- see the
-        // shared-memory note in FusedSystemState).  Entries below k
-        // are always written before they are read.
-        std::array<C, 257> ell;
+        // Thread-private L_1..L_{k+1} strip (full mode only; entries
+        // below k are always written before they are read) and position
+        // cache, in registers/local memory -- see fused_shared_bytes.
+        [[maybe_unused]] std::array<C, kFull ? 257 : 0> ell;
         std::array<unsigned, 256> pos;
         const std::size_t mons_base = point * layout.mons_size();
 
@@ -283,13 +281,14 @@ template <prec::RealScalar S>
           worked = true;
 
           for (unsigned j = 0; j < k; ++j)
-            pos[j] = ctx.load_constant(positions, layout.support_index(g, j));
+            pos[j] = ctx.load_constant(positions, tbase + layout.support_index(g, j));
           const auto var = [&](unsigned j) { return svars.get(pos[j]); };
 
           // Common factor from the powers table: k-1 multiplications.
           C cf(S(1.0));
           for (unsigned j = 0; j < k; ++j) {
-            const unsigned em1 = decode(ctx, layout.support_index(g, j));
+            const unsigned em1 =
+                ctx.load_constant(exponents, tbase + layout.support_index(g, j));
             const C val = powers.get(std::size_t{em1} * n + pos[j]);
             if (j == 0) {
               cf = val;
@@ -299,176 +298,140 @@ template <prec::RealScalar S>
             }
           }
 
-          // Speelpenning derivatives into L_1..L_k: 3k-6 for k >= 3.
-          if (k == 2) {
-            ell[0] = var(1);
-            ell[1] = var(0);
-          } else if (k >= 3) {
-            ell[1] = var(0);
-            for (unsigned r = 2; r < k; ++r) {
-              ell[r] = ell[r - 1] * var(r - 1);
+          if constexpr (!kFull) {
+            // The full mode's value: ((var(0)..var(k-2)) * cf) *
+            // var(k-1) -- its last Speelpenning derivative scaled by the
+            // factor, times the last variable -- then the value
+            // coefficient (portion k): 2k multiplications instead of
+            // 5k-4.  k == 1 degenerates to cf * var(0).
+            C p = cf;
+            if (k >= 2) {
+              p = var(0);
+              for (unsigned r = 2; r < k; ++r) {
+                p = p * var(r - 1);
+                ctx.op_cmul();
+              }
+              p = p * cf;
               ctx.op_cmul();
             }
-            C q = var(k - 1);
-            ell[k - 2] = ell[k - 2] * q;
+            p = p * var(k - 1);
             ctx.op_cmul();
-            for (unsigned r = 1; r + 2 < k; ++r) {
-              q = q * var(k - 1 - r);
-              ctx.op_cmul();
-              ell[k - 2 - r] = ell[k - 2 - r] * q;
-              ctx.op_cmul();
-            }
-            ell[0] = q * var(1);
+            p = p * ctx.load(coeffs, cbase + layout.coeff_index(k, g));
             ctx.op_cmul();
-          }
-
-          // Scale by the in-register common factor (k multiplications;
-          // for k == 1 the derivative IS the factor).
-          if (k == 1) {
-            ell[0] = cf;
+            mons.store(ctx, mons_base + layout.mons_value_index(g), p);
           } else {
-            for (unsigned j = 0; j < k; ++j) {
-              ell[j] = ell[j] * cf;
+            // Speelpenning derivatives into L_1..L_k: 3k-6 for k >= 3.
+            if (k == 2) {
+              ell[0] = var(1);
+              ell[1] = var(0);
+            } else if (k >= 3) {
+              ell[1] = var(0);
+              for (unsigned r = 2; r < k; ++r) {
+                ell[r] = ell[r - 1] * var(r - 1);
+                ctx.op_cmul();
+              }
+              C q = var(k - 1);
+              ell[k - 2] = ell[k - 2] * q;
+              ctx.op_cmul();
+              for (unsigned r = 1; r + 2 < k; ++r) {
+                q = q * var(k - 1 - r);
+                ctx.op_cmul();
+                ell[k - 2 - r] = ell[k - 2 - r] * q;
+                ctx.op_cmul();
+              }
+              ell[0] = q * var(1);
               ctx.op_cmul();
             }
-          }
 
-          // Monomial value from its last derivative (1 multiplication).
-          ell[k] = ell[k - 1] * var(k - 1);
-          ctx.op_cmul();
-
-          // Coefficient products (k+1 multiplications).
-          for (unsigned j = 0; j <= k; ++j) {
-            const C c = ctx.load(coeffs, layout.coeff_index(j, g));
-            ell[j] = ell[j] * c;
-            ctx.op_cmul();
-          }
-
-          mons.store(ctx, mons_base + layout.mons_value_index(g), ell[k]);
-          for (unsigned j = 0; j < k; ++j)
-            mons.store(ctx, mons_base + layout.mons_deriv_index(g, pos[j]),
-                       ell[j]);
-        }
-        if (!worked) ctx.mark_inactive();
-      },
-      // Phase 3 (kernel 3, fused behind the block barrier): all n^2+n
-      // outputs.
-      make_fused_summation_phase<S>(mons, outputs_buf, layout, m, outs),
-  };
-  return kernel;
-}
-
-/// Build the fused VALUES-ONLY kernel over the given point/values buffer
-/// pair: one launch computes f(x) for every point of the batch, skipping
-/// all Jacobian work -- the residual probes and convergence checks of a
-/// tracker corrector, which would otherwise pay for n^2 derivative sums
-/// they discard.
-///
-/// Bitwise contract: every value is computed with EXACTLY the full
-/// kernel's operation order -- common factor from the powers table, the
-/// forward prefix product var(0)..var(k-2) (the full kernel's L_{k-1}
-/// before suffix scaling), then * cf, * var(k-1), * value coefficient --
-/// so values-only results equal the values of a full evaluation bit for
-/// bit, and a tracker may mix the two paths freely.  Only the value
-/// slots of Mons are written; the summation phase reads only the n value
-/// rows (outputs [0, n)), never the stale derivative slots.
-template <prec::RealScalar S>
-[[nodiscard]] simt::Kernel build_fused_values_kernel(
-    const FusedSystemState<S>& sys, ExponentEncoding enc,
-    simt::GlobalBuffer<cplx::Complex<S>> x,
-    simt::GlobalBuffer<cplx::Complex<S>> values_buf) {
-  using C = cplx::Complex<S>;
-  const auto s = sys.packed.structure;
-  const unsigned n = s.n, d = s.d, k = s.k, m = s.m;
-  const std::uint64_t monomials = sys.layout.total_monomials();
-  const auto layout = sys.layout;
-  const auto coeffs = sys.coeffs;
-  const auto mons = sys.mons;
-  const auto positions = sys.positions;
-  const auto exponents = sys.exponents;
-
-  const std::size_t svars_off = 0;
-  const std::size_t powers_off = std::size_t{n} * sizeof(C);
-
-  const auto decode = [exponents, enc](simt::ThreadContext& ctx,
-                                       std::uint64_t index) -> unsigned {
-    if (enc == ExponentEncoding::kChar) return ctx.load_constant(exponents, index);
-    const unsigned char byte = ctx.load_constant(exponents, index / 2);
-    return index % 2 == 0 ? (byte & 0x0Fu) : (byte >> 4u);
-  };
-
-  simt::Kernel kernel;
-  kernel.name = "fused_values";
-  kernel.memo.enable(0);  // as the full kernel: tables fixed at construction
-  kernel.phases = {
-      // Phase 1: the full kernel's shared point/powers load, the SAME
-      // lambda (the common factor still needs the powers table).
-      make_fused_point_phase<S>(x, n, d, svars_off, powers_off),
-      // Phase 2: one monomial VALUE per loop trip -- 2k multiplications
-      // (k-1 for the common factor, k-2 prefix, cf, last variable,
-      // coefficient) instead of the full kernel's 5k-4 -- written into
-      // the same Mons value slot the full kernel uses.
-      [mons, coeffs, positions, decode, layout, n, k, monomials, svars_off,
-       powers_off](simt::ThreadContext& ctx) {
-        const std::size_t point = ctx.block_index();
-        auto svars = ctx.template shared_array<C>(svars_off, n);
-        auto powers = ctx.template shared_array<C>(
-            powers_off, std::size_t{n} * layout.structure().d);
-        std::array<unsigned, 256> pos;
-        const std::size_t mons_base = point * layout.mons_size();
-
-        bool worked = false;
-        for (std::uint64_t g = ctx.thread_index(); g < monomials;
-             g += ctx.block_dim()) {
-          worked = true;
-
-          for (unsigned j = 0; j < k; ++j)
-            pos[j] = ctx.load_constant(positions, layout.support_index(g, j));
-          const auto var = [&](unsigned j) { return svars.get(pos[j]); };
-
-          // Common factor: the full kernel's loop, verbatim.
-          C cf(S(1.0));
-          for (unsigned j = 0; j < k; ++j) {
-            const unsigned em1 = decode(ctx, layout.support_index(g, j));
-            const C val = powers.get(std::size_t{em1} * n + pos[j]);
-            if (j == 0) {
-              cf = val;
+            // Scale by the in-register common factor (k multiplications;
+            // for k == 1 the derivative IS the factor).
+            if (k == 1) {
+              ell[0] = cf;
             } else {
-              cf = cf * val;
-              ctx.op_cmul();
+              for (unsigned j = 0; j < k; ++j) {
+                ell[j] = ell[j] * cf;
+                ctx.op_cmul();
+              }
             }
-          }
 
-          // The full kernel's value: ((var(0)..var(k-2)) * cf) * var(k-1)
-          // -- its last Speelpenning derivative scaled by the factor,
-          // times the last variable.  k == 1 degenerates to cf * var(0).
-          C p = cf;
-          if (k >= 2) {
-            p = var(0);
-            for (unsigned r = 2; r < k; ++r) {
-              p = p * var(r - 1);
-              ctx.op_cmul();
-            }
-            p = p * cf;
+            // Monomial value from its last derivative (1 multiplication).
+            ell[k] = ell[k - 1] * var(k - 1);
             ctx.op_cmul();
+
+            // Coefficient products (k+1 multiplications).
+            for (unsigned j = 0; j <= k; ++j) {
+              const C c = ctx.load(coeffs, cbase + layout.coeff_index(j, g));
+              ell[j] = ell[j] * c;
+              ctx.op_cmul();
+            }
+
+            // Tenant-indexed tables re-establish the zero padding before
+            // the sparse derivative stores: a previous launch may have
+            // run a DIFFERENT tenant on this point slot, leaving its
+            // derivatives at variable positions this tenant's monomial
+            // never writes.  A single system's positions are identical
+            // launch over launch, so it skips this.
+            if constexpr (Tables::kTenantIndexed)
+              for (unsigned q = 0; q < n; ++q)
+                mons.store(ctx, mons_base + layout.mons_deriv_index(g, q), C{});
+            mons.store(ctx, mons_base + layout.mons_value_index(g), ell[k]);
+            for (unsigned j = 0; j < k; ++j)
+              mons.store(ctx, mons_base + layout.mons_deriv_index(g, pos[j]), ell[j]);
           }
-          p = p * var(k - 1);
-          ctx.op_cmul();
-
-          // Value coefficient (portion k), as in the full kernel.
-          p = p * ctx.load(coeffs, layout.coeff_index(k, g));
-          ctx.op_cmul();
-
-          mons.store(ctx, mons_base + layout.mons_value_index(g), p);
         }
         if (!worked) ctx.mark_inactive();
       },
-      // Phase 3: sum only the n value rows (not the n^2 Jacobian rows)
-      // -- the SAME summation lambda as the full kernel, truncated.
-      make_fused_summation_phase<S>(mons, values_buf, layout, m, n),
+      // Phase 3 (behind the block barrier): the point's first
+      // `out_count` outputs.
+      fused_summation_phase<S>(mons, out, layout, out_count),
   };
   return kernel;
 }
+
+/// Device-resident state the single-tenant fused evaluators share: the
+/// packed system, its layout, the fused buffers (tables uploaded and
+/// coefficients folded once) and the shared-memory budget.  The X and
+/// Outputs buffers stay with the evaluator: the plain evaluator owns
+/// one pair, the pipelined evaluator double-buffers two.
+template <prec::RealScalar S>
+struct FusedSystemState {
+  using C = cplx::Complex<S>;
+
+  PackedSystem packed;
+  SystemLayout layout;
+  FusedBuffers<S> bufs;
+  std::size_t shared_bytes = 0;
+
+  FusedSystemState(simt::Device& device, const poly::PolynomialSystem& system,
+                   unsigned batch_capacity, InterchangeLayout interchange)
+      : packed(pack_system(system)),
+        layout(packed.structure),
+        shared_bytes(fused_shared_bytes<S>(packed.structure)) {
+    const auto encoded = encode_exponents(ExponentEncoding::kChar, packed.exponents);
+    bufs.positions =
+        device.alloc_constant<unsigned char>(packed.positions.size(), "Positions");
+    bufs.exponents = device.alloc_constant<unsigned char>(encoded.size(), "Exponents");
+    device.upload_constant(bufs.positions,
+                           std::span<const unsigned char>(packed.positions));
+    device.upload_constant(bufs.exponents, std::span<const unsigned char>(encoded));
+
+    bufs.coeffs = device.alloc_global<C>(layout.coeffs_size(), "Coeffs");
+    bufs.mons.allocate(device, std::size_t{batch_capacity} * layout.mons_size(),
+                       "Mons[batch]", interchange);
+
+    std::vector<C> folded(layout.coeffs_size());
+    fold_coefficients<S>(packed, layout, std::span<C>(folded));
+    device.upload(bufs.coeffs, std::span<const C>(folded));
+    bufs.mons.fill_zero(device);
+  }
+
+  /// This system's fused kernel over one point/output buffer pair.
+  template <FusedOutput kOut>
+  [[nodiscard]] simt::Kernel kernel(simt::GlobalBuffer<C> x,
+                                    simt::GlobalBuffer<C> out) const {
+    return build_fused_kernel<kOut>(layout, bufs, SingleTenantTables{}, x, out);
+  }
+};
 
 }  // namespace detail
 
@@ -483,7 +446,6 @@ class FusedGpuEvaluator {
     /// pick_block_size(n, m, k, batch_capacity, SMs) -- one warp once
     /// the batch fills the SMs, wider blocks for under-full grids).
     unsigned block_size = 0;
-    ExponentEncoding encoding = ExponentEncoding::kChar;
     /// Element layout of the Mons interchange buffer (the only
     /// interchange left once the common factor stays in registers);
     /// nullopt (the default) resolves with the block size: measured
@@ -509,7 +471,7 @@ class FusedGpuEvaluator {
       : device_(device),
         options_(resolve_options(device, system, batch_capacity, options)),
         capacity_(batch_capacity),
-        sys_(device, system, batch_capacity, options_.encoding,
+        sys_(device, system, batch_capacity,
              options_.interchange.value_or(InterchangeLayout::kAoS)) {
     if (capacity_ == 0)
       throw std::invalid_argument("FusedGpuEvaluator: zero batch capacity");
@@ -519,9 +481,8 @@ class FusedGpuEvaluator {
     outputs_ = device_.alloc_global<C>(std::size_t{capacity_} * sys_.layout.num_outputs(),
                                        "Outputs[batch]");
     values_ = device_.alloc_global<C>(std::size_t{capacity_} * s.n, "Values[batch]");
-    kernel_ = detail::build_fused_kernel<S>(sys_, options_.encoding, x_, outputs_);
-    values_kernel_ =
-        detail::build_fused_values_kernel<S>(sys_, options_.encoding, x_, values_);
+    kernel_ = sys_.template kernel<detail::FusedOutput::kFull>(x_, outputs_);
+    values_kernel_ = sys_.template kernel<detail::FusedOutput::kValues>(x_, values_);
 
     flat_.reserve(std::size_t{capacity_} * s.n);
     host_outputs_.reserve(std::size_t{capacity_} * sys_.layout.num_outputs());
@@ -584,7 +545,7 @@ class FusedGpuEvaluator {
   /// out[i*n + q] receiving value q of the i-th point of the range.  No
   /// Jacobian work runs and only batch*n values ride the PCIe download
   /// -- the corrector-residual fast path -- while every value is bitwise
-  /// identical to a full evaluation's (build_fused_values_kernel).
+  /// identical to a full evaluation's (detail::build_fused_kernel).
   void evaluate_values_range(const std::vector<std::vector<C>>& points,
                              std::size_t first, std::size_t count, std::span<C> out) {
     const unsigned s_n = sys_.packed.structure.n;
@@ -693,30 +654,19 @@ class FusedGpuEvaluator {
     return options;
   }
 
-  /// Shared head of the two range entry points: validate the range
-  /// against the batch capacity and the caller's output span (sized
-  /// `out_needed`), pack the points into the staging buffer and upload
-  /// X.  Throws before any device work; returns the batch size.
+  /// Shared head of the two range entry points: check the range (the
+  /// caller's output span must hold `out_needed` entries), pack the
+  /// points and upload X.  Throws before any device work; returns the
+  /// batch size.
   unsigned stage_range(const std::vector<std::vector<C>>& points, std::size_t first,
                        std::size_t count, std::size_t out_size,
                        std::size_t out_needed) {
     const unsigned s_n = sys_.packed.structure.n;
-    if (count == 0 || count > capacity_)
-      throw std::invalid_argument("FusedGpuEvaluator: bad batch size");
-    if (first > points.size() || count > points.size() - first ||
-        out_size < out_needed)
-      throw std::invalid_argument("FusedGpuEvaluator: bad point range");
-    const auto batch = static_cast<unsigned>(count);
-    for (std::size_t p = first; p < first + count; ++p)
-      if (points[p].size() != s_n)
-        throw std::invalid_argument("FusedGpuEvaluator: point has wrong dimension");
-
-    flat_.resize(std::size_t{batch} * s_n);
-    for (unsigned p = 0; p < batch; ++p)
-      std::copy(points[first + p].begin(), points[first + p].end(),
-                flat_.begin() + std::size_t{p} * s_n);
+    detail::check_range("FusedGpuEvaluator", points, first, count, capacity_, s_n,
+                        out_size, out_needed);
+    detail::pack_points(points, first, count, s_n, flat_);
     device_.upload(x_, std::span<const C>(flat_));
-    return batch;
+    return static_cast<unsigned>(count);
   }
 
   simt::Device& device_;

@@ -72,20 +72,10 @@ class GpuEvaluator {
     bufs_.mons.allocate(device_, layout_.mons_size(), "Mons", options_.interchange);
     bufs_.outputs = device_.alloc_global<C>(layout_.num_outputs(), "Outputs");
 
-    // Coefficients widen to the working precision once, then live in
-    // global memory for the whole run.  The derivative portions fold the
-    // exponent factors IN the working precision (folding in double first
-    // would cap extended-precision Jacobian accuracy at ~1e-16).
-    std::vector<C> coeffs(packed_.coeffs.size());
-    for (std::uint64_t t = 0; t < layout_.total_monomials(); ++t) {
-      const auto raw = C::from_double(packed_.coeffs[layout_.coeff_index(s.k, t)]);
-      for (unsigned j = 0; j < s.k; ++j) {
-        const double a = packed_.exponents[layout_.support_index(t, j)] + 1.0;
-        coeffs[layout_.coeff_index(j, t)] =
-            raw * prec::ScalarTraits<S>::from_double(a);
-      }
-      coeffs[layout_.coeff_index(s.k, t)] = raw;
-    }
+    // Coefficients widen (and fold) to the working precision once, then
+    // live in global memory for the whole run.
+    std::vector<C> coeffs(layout_.coeffs_size());
+    detail::fold_coefficients<S>(packed_, layout_, std::span<C>(coeffs));
     device_.upload(bufs_.coeffs, std::span<const C>(coeffs));
 
     // The structural zeros of Mons are set once and never written again.

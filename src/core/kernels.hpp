@@ -24,8 +24,12 @@
 /// them) adds exactly m terms, structural zeros included, keeping every
 /// warp lane on the same path; reads coalesce by construction.
 
+#include <algorithm>
 #include <array>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/encoding.hpp"
 #include "core/layout.hpp"
@@ -479,6 +483,58 @@ template <prec::RealScalar S>
 }
 
 namespace detail {
+
+/// Fold the exponent factors into the coefficient portions IN the
+/// working precision (folding in double first would cap
+/// extended-precision Jacobian accuracy at ~1e-16): portion j < k of
+/// monomial t becomes c_t * a_{t,j}, portion k keeps c_t (layout.hpp).
+/// `out` holds layout.coeffs_size() entries -- one system's slice of
+/// the device Coeffs table.  Every evaluator's fold, so a multi-tenant
+/// slice is bitwise the single-tenant table.
+template <prec::RealScalar S>
+void fold_coefficients(const PackedSystem& packed, const SystemLayout& layout,
+                       std::span<cplx::Complex<S>> out) {
+  using C = cplx::Complex<S>;
+  const unsigned k = layout.structure().k;
+  for (std::uint64_t t = 0; t < layout.total_monomials(); ++t) {
+    const auto raw = C::from_double(packed.coeffs[layout.coeff_index(k, t)]);
+    for (unsigned j = 0; j < k; ++j) {
+      const double a = packed.exponents[layout.support_index(t, j)] + 1.0;
+      out[layout.coeff_index(j, t)] = raw * prec::ScalarTraits<S>::from_double(a);
+    }
+    out[layout.coeff_index(k, t)] = raw;
+  }
+}
+
+/// The range entry points' argument check: 0 < count <= capacity, the
+/// range [first, first + count) inside `points`, an output span of at
+/// least `out_needed` entries and every point of dimension n.  Throws
+/// std::invalid_argument, prefixed with the evaluator's name `who`,
+/// before any device work.
+template <class C>
+void check_range(const char* who, const std::vector<std::vector<C>>& points,
+                 std::size_t first, std::size_t count, unsigned capacity, unsigned n,
+                 std::size_t out_size, std::size_t out_needed) {
+  const auto fail = [who](const char* what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (count == 0 || count > capacity) fail("bad batch size");
+  if (first > points.size() || count > points.size() - first || out_size < out_needed)
+    fail("bad point range");
+  for (std::size_t p = first; p < first + count; ++p)
+    if (points[p].size() != n) fail("point has wrong dimension");
+}
+
+/// Pack points[first, first + count) row-major into the X upload
+/// staging `flat` (resized; its reserved capacity is kept).
+template <class C>
+void pack_points(const std::vector<std::vector<C>>& points, std::size_t first,
+                 std::size_t count, unsigned n, std::vector<C>& flat) {
+  flat.resize(count * n);
+  for (std::size_t p = 0; p < count; ++p)
+    std::copy(points[first + p].begin(), points[first + p].end(),
+              flat.begin() + static_cast<std::ptrdiff_t>(p * n));
+}
 
 /// Unpack one point's device output vector (values then Jacobian
 /// columns, layout.hpp order) into an EvalResult -- the host half of

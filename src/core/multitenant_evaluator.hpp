@@ -14,20 +14,20 @@
 /// saving is the per-launch overhead (GpuCostModel::launch_overhead_us)
 /// that G sequential single-request launches would each pay.
 ///
-/// Bitwise contract: phase 2 repeats build_fused_kernel's (and the
-/// values variant's) arithmetic verbatim with a tenant base offset
-/// added to every table index -- offsets change WHICH coefficients are
-/// read, never the operation order -- and phases 1 and 3 are the exact
-/// shared lambdas of fused_evaluator.hpp.  A point evaluated here is
-/// bit-identical to the same point through the tenant's own
-/// single-tenant FusedGpuEvaluator, which is what lets the service
-/// promise every request endpoints bitwise equal to a standalone solve.
+/// Bitwise contract: both kernels come from the one fused builder
+/// (detail::build_fused_kernel) with the tenant-indexed table source,
+/// which adds a tenant base offset to every table index -- offsets
+/// change WHICH coefficients are read, never the operation order -- and
+/// the coefficients are folded by the one fold (fold_coefficients).  A
+/// point evaluated here is therefore bit-identical to the same point
+/// through the tenant's own single-tenant FusedGpuEvaluator, which is
+/// what lets the service promise every request endpoints bitwise equal
+/// to a standalone solve.
 ///
 /// Zero steady-state allocation, as the single-tenant pipeline: tables
 /// upload at set_tenant (admission time), per-call staging reuses
-/// constructor-sized buffers.  Only ExponentEncoding::kChar is
-/// supported -- the nibble packing would halve the per-tenant exponent
-/// stride and nothing in the service requests it.
+/// constructor-sized buffers.  Exponents use the one-byte kChar
+/// encoding, as every fused kernel does.
 
 #include <optional>
 #include <span>
@@ -77,14 +77,14 @@ class MultiTenantFusedEvaluator {
 
     const std::size_t pos_stride = support_stride();
     const std::size_t coeff_stride = layout_.coeffs_size();
-    positions_ = device_.alloc_constant<unsigned char>(
+    bufs_.positions = device_.alloc_constant<unsigned char>(
         pos_stride * max_tenants_, "MtPositions");
-    exponents_ = device_.alloc_constant<unsigned char>(
+    bufs_.exponents = device_.alloc_constant<unsigned char>(
         pos_stride * max_tenants_, "MtExponents");
-    coeffs_ = device_.alloc_global<C>(coeff_stride * max_tenants_, "MtCoeffs");
-    mons_.allocate(device_, std::size_t{capacity_} * layout_.mons_size(),
-                   "MtMons[batch]", *options_.interchange);
-    mons_.fill_zero(device_);
+    bufs_.coeffs = device_.alloc_global<C>(coeff_stride * max_tenants_, "MtCoeffs");
+    bufs_.mons.allocate(device_, std::size_t{capacity_} * layout_.mons_size(),
+                        "MtMons[batch]", *options_.interchange);
+    bufs_.mons.fill_zero(device_);
     x_ = device_.alloc_global<C>(std::size_t{capacity_} * structure.n,
                                  "MtX[batch]");
     outputs_ = device_.alloc_global<C>(
@@ -96,16 +96,15 @@ class MultiTenantFusedEvaluator {
     host_positions_.assign(pos_stride * max_tenants_, 0);
     host_exponents_.assign(pos_stride * max_tenants_, 0);
     host_coeffs_.assign(coeff_stride * max_tenants_, C{});
-    device_.upload_constant(positions_,
-                            std::span<const unsigned char>(host_positions_));
-    device_.upload_constant(exponents_,
-                            std::span<const unsigned char>(host_exponents_));
-    device_.upload(coeffs_, std::span<const C>(host_coeffs_));
+    upload_tables();
     tenant_present_.assign(max_tenants_, 0);
 
-    shared_bytes_ = std::size_t{structure.n} * (1 + structure.d) * sizeof(C);
-    kernel_ = build_kernel(/*values_only=*/false);
-    values_kernel_ = build_kernel(/*values_only=*/true);
+    const detail::TenantIndexedTables tables{capacity_, tenant_ids_, pos_stride,
+                                             coeff_stride};
+    kernel_ = detail::build_fused_kernel<detail::FusedOutput::kFull>(
+        layout_, bufs_, tables, x_, outputs_);
+    values_kernel_ = detail::build_fused_kernel<detail::FusedOutput::kValues>(
+        layout_, bufs_, tables, x_, values_);
 
     flat_.reserve(std::size_t{capacity_} * structure.n);
     host_outputs_.reserve(std::size_t{capacity_} * layout_.num_outputs());
@@ -124,9 +123,9 @@ class MultiTenantFusedEvaluator {
   }
 
   /// Install (or replace) tenant `tenant`'s system: pack, fold the
-  /// coefficient portions exactly as FusedSystemState does, splice into
-  /// the concatenated host mirrors at the tenant's stride and re-upload
-  /// the three tables.  An admission-time cost, not a per-round one.
+  /// coefficient portions with the one fold, splice into the
+  /// concatenated host mirrors at the tenant's stride and re-upload the
+  /// three tables.  An admission-time cost, not a per-round one.
   void set_tenant(unsigned tenant, const poly::PolynomialSystem& system) {
     if (tenant >= max_tenants_)
       throw std::invalid_argument("MultiTenantFusedEvaluator: bad tenant");
@@ -134,7 +133,6 @@ class MultiTenantFusedEvaluator {
     if (!(packed.structure == layout_.structure()))
       throw std::invalid_argument(
           "MultiTenantFusedEvaluator: tenant structure mismatch");
-    const auto s = packed.structure;
     const auto encoded =
         encode_exponents(ExponentEncoding::kChar, packed.exponents);
 
@@ -143,26 +141,13 @@ class MultiTenantFusedEvaluator {
               host_positions_.begin() + tenant * pos_stride);
     std::copy(encoded.begin(), encoded.end(),
               host_exponents_.begin() + tenant * pos_stride);
+    detail::fold_coefficients<S>(
+        packed, layout_,
+        std::span<C>(host_coeffs_)
+            .subspan(std::size_t{tenant} * layout_.coeffs_size(),
+                     layout_.coeffs_size()));
 
-    // Exponent factors folded in the working precision, as in
-    // FusedSystemState (the one fold, repeated per tenant).
-    const std::size_t cbase = std::size_t{tenant} * layout_.coeffs_size();
-    for (std::uint64_t t = 0; t < layout_.total_monomials(); ++t) {
-      const auto raw =
-          C::from_double(packed.coeffs[layout_.coeff_index(s.k, t)]);
-      for (unsigned j = 0; j < s.k; ++j) {
-        const double a = packed.exponents[layout_.support_index(t, j)] + 1.0;
-        host_coeffs_[cbase + layout_.coeff_index(j, t)] =
-            raw * prec::ScalarTraits<S>::from_double(a);
-      }
-      host_coeffs_[cbase + layout_.coeff_index(s.k, t)] = raw;
-    }
-
-    device_.upload_constant(positions_,
-                            std::span<const unsigned char>(host_positions_));
-    device_.upload_constant(exponents_,
-                            std::span<const unsigned char>(host_exponents_));
-    device_.upload(coeffs_, std::span<const C>(host_coeffs_));
+    upload_tables();
     tenant_present_[tenant] = 1;
     // The recorded stats describe the old tables' access pattern.
     kernel_.memo.invalidate();
@@ -216,33 +201,35 @@ class MultiTenantFusedEvaluator {
            layout_.structure().k;
   }
 
+  void upload_tables() {
+    device_.upload_constant(bufs_.positions,
+                            std::span<const unsigned char>(host_positions_));
+    device_.upload_constant(bufs_.exponents,
+                            std::span<const unsigned char>(host_exponents_));
+    device_.upload(bufs_.coeffs, std::span<const C>(host_coeffs_));
+  }
+
+  /// Check the range and its tenant binding, then upload the points and
+  /// their tenant ids.  Throws before any device work; returns the
+  /// batch size.
   unsigned stage_range(const std::vector<std::vector<C>>& points,
                        std::size_t first, std::size_t count,
                        std::size_t out_size, std::size_t out_needed) {
     const unsigned n = dimension();
-    if (count == 0 || count > capacity_)
-      throw std::invalid_argument("MultiTenantFusedEvaluator: bad batch size");
-    if (first > points.size() || count > points.size() - first ||
-        out_size < out_needed)
-      throw std::invalid_argument("MultiTenantFusedEvaluator: bad point range");
+    detail::check_range("MultiTenantFusedEvaluator", points, first, count,
+                        capacity_, n, out_size, out_needed);
     if (bound_.size() < first + count)
       throw std::invalid_argument(
           "MultiTenantFusedEvaluator: bind_tenants span too short");
-    const auto batch = static_cast<unsigned>(count);
     for (std::size_t p = first; p < first + count; ++p) {
-      if (points[p].size() != n)
-        throw std::invalid_argument(
-            "MultiTenantFusedEvaluator: point has wrong dimension");
       const unsigned ten = bound_[p];
       if (ten >= max_tenants_ || !tenant_present_[ten])
         throw std::invalid_argument(
             "MultiTenantFusedEvaluator: point bound to absent tenant");
       staged_tenants_[p - first] = ten;
     }
-    flat_.resize(std::size_t{batch} * n);
-    for (unsigned p = 0; p < batch; ++p)
-      std::copy(points[first + p].begin(), points[first + p].end(),
-                flat_.begin() + std::size_t{p} * n);
+    const auto batch = static_cast<unsigned>(count);
+    detail::pack_points(points, first, count, n, flat_);
     device_.upload(x_, std::span<const C>(flat_));
     device_.upload(tenant_ids_, std::span<const unsigned>(staged_tenants_.data(),
                                                           batch));
@@ -250,7 +237,8 @@ class MultiTenantFusedEvaluator {
   }
 
   void launch(const simt::Kernel& kernel, unsigned batch) {
-    simt::LaunchConfig cfg{batch, options_.block_size, shared_bytes_};
+    simt::LaunchConfig cfg{batch, options_.block_size,
+                           detail::fused_shared_bytes<S>(layout_.structure())};
     cfg.detect_races = options_.detect_races;
     // Which tables each block reads is the staged tenant sequence: it
     // is the launch's footprint tag.
@@ -258,213 +246,13 @@ class MultiTenantFusedEvaluator {
                          simt::FootprintTag(staged_tenants_.data(), batch));
   }
 
-  /// The fused kernel with tenant-offset table reads.  Phases 1 and 3
-  /// are the exact shared lambdas of fused_evaluator.hpp; phase 2 is
-  /// build_fused_kernel's (or the values variant's) loop with
-  /// `tbase`/`cbase` added to every positions/exponents/coeffs index.
-  [[nodiscard]] simt::Kernel build_kernel(bool values_only) const {
-    const auto s = layout_.structure();
-    const unsigned n = s.n, d = s.d, k = s.k, m = s.m;
-    const std::uint64_t monomials = layout_.total_monomials();
-    const std::uint64_t pos_stride = support_stride();
-    const std::uint64_t coeff_stride = layout_.coeffs_size();
-    const auto layout = layout_;
-    const auto coeffs = coeffs_;
-    const auto mons = mons_;
-    const auto positions = positions_;
-    const auto exponents = exponents_;
-    const auto tenants = tenant_ids_;
-
-    const std::size_t svars_off = 0;
-    const std::size_t powers_off = std::size_t{n} * sizeof(C);
-
-    simt::Kernel kernel;
-    kernel.name = values_only ? "mt_fused_vals" : "mt_fused";
-    // Stats depend on the tenant tables (set_tenant invalidates) and on
-    // which tenant each point routes to (the footprint tag).
-    kernel.memo.enable(capacity_);
-    kernel.phases.push_back(
-        detail::make_fused_point_phase<S>(x_, n, d, svars_off, powers_off));
-
-    if (!values_only) {
-      kernel.phases.push_back([mons, coeffs, positions, exponents, tenants,
-                               layout, n, d, k, monomials, pos_stride,
-                               coeff_stride, svars_off,
-                               powers_off](simt::ThreadContext& ctx) {
-        const std::size_t point = ctx.block_index();
-        const std::uint64_t ten = ctx.load(tenants, point);
-        const std::uint64_t tbase = ten * pos_stride;
-        const std::uint64_t cbase = ten * coeff_stride;
-        auto svars = ctx.template shared_array<C>(svars_off, n);
-        auto powers =
-            ctx.template shared_array<C>(powers_off, std::size_t{n} * d);
-        std::array<C, 257> ell;
-        std::array<unsigned, 256> pos;
-        const std::size_t mons_base = point * layout.mons_size();
-
-        bool worked = false;
-        for (std::uint64_t g = ctx.thread_index(); g < monomials;
-             g += ctx.block_dim()) {
-          worked = true;
-
-          for (unsigned j = 0; j < k; ++j)
-            pos[j] = ctx.load_constant(positions,
-                                       tbase + layout.support_index(g, j));
-          const auto var = [&](unsigned j) { return svars.get(pos[j]); };
-
-          // Common factor from the powers table: k-1 multiplications.
-          C cf(S(1.0));
-          for (unsigned j = 0; j < k; ++j) {
-            const unsigned em1 = ctx.load_constant(
-                exponents, tbase + layout.support_index(g, j));
-            const C val = powers.get(std::size_t{em1} * n + pos[j]);
-            if (j == 0) {
-              cf = val;
-            } else {
-              cf = cf * val;
-              ctx.op_cmul();
-            }
-          }
-
-          // Speelpenning derivatives into L_1..L_k: 3k-6 for k >= 3.
-          if (k == 2) {
-            ell[0] = var(1);
-            ell[1] = var(0);
-          } else if (k >= 3) {
-            ell[1] = var(0);
-            for (unsigned r = 2; r < k; ++r) {
-              ell[r] = ell[r - 1] * var(r - 1);
-              ctx.op_cmul();
-            }
-            C q = var(k - 1);
-            ell[k - 2] = ell[k - 2] * q;
-            ctx.op_cmul();
-            for (unsigned r = 1; r + 2 < k; ++r) {
-              q = q * var(k - 1 - r);
-              ctx.op_cmul();
-              ell[k - 2 - r] = ell[k - 2 - r] * q;
-              ctx.op_cmul();
-            }
-            ell[0] = q * var(1);
-            ctx.op_cmul();
-          }
-
-          // Scale by the in-register common factor (k multiplications;
-          // for k == 1 the derivative IS the factor).
-          if (k == 1) {
-            ell[0] = cf;
-          } else {
-            for (unsigned j = 0; j < k; ++j) {
-              ell[j] = ell[j] * cf;
-              ctx.op_cmul();
-            }
-          }
-
-          // Monomial value from its last derivative (1 multiplication).
-          ell[k] = ell[k - 1] * var(k - 1);
-          ctx.op_cmul();
-
-          // Coefficient products (k+1 multiplications).
-          for (unsigned j = 0; j <= k; ++j) {
-            const C c = ctx.load(coeffs, cbase + layout.coeff_index(j, g));
-            ell[j] = ell[j] * c;
-            ctx.op_cmul();
-          }
-
-          // Re-establish the zero padding before the sparse derivative
-          // stores: a previous launch may have run a DIFFERENT tenant on
-          // this point slot, leaving its derivatives at variable
-          // positions this tenant's monomial never writes.  The
-          // single-tenant kernel skips this because its positions are
-          // identical launch over launch.
-          for (unsigned q = 0; q < n; ++q)
-            mons.store(ctx, mons_base + layout.mons_deriv_index(g, q), C{});
-          mons.store(ctx, mons_base + layout.mons_value_index(g), ell[k]);
-          for (unsigned j = 0; j < k; ++j)
-            mons.store(ctx, mons_base + layout.mons_deriv_index(g, pos[j]),
-                       ell[j]);
-        }
-        if (!worked) ctx.mark_inactive();
-      });
-      kernel.phases.push_back(detail::make_fused_summation_phase<S>(
-          mons_, outputs_, layout_, m, layout_.num_outputs()));
-    } else {
-      kernel.phases.push_back([mons, coeffs, positions, exponents, tenants,
-                               layout, n, d, k, monomials, pos_stride,
-                               coeff_stride, svars_off,
-                               powers_off](simt::ThreadContext& ctx) {
-        const std::size_t point = ctx.block_index();
-        const std::uint64_t ten = ctx.load(tenants, point);
-        const std::uint64_t tbase = ten * pos_stride;
-        const std::uint64_t cbase = ten * coeff_stride;
-        auto svars = ctx.template shared_array<C>(svars_off, n);
-        auto powers =
-            ctx.template shared_array<C>(powers_off, std::size_t{n} * d);
-        std::array<unsigned, 256> pos;
-        const std::size_t mons_base = point * layout.mons_size();
-
-        bool worked = false;
-        for (std::uint64_t g = ctx.thread_index(); g < monomials;
-             g += ctx.block_dim()) {
-          worked = true;
-
-          for (unsigned j = 0; j < k; ++j)
-            pos[j] = ctx.load_constant(positions,
-                                       tbase + layout.support_index(g, j));
-          const auto var = [&](unsigned j) { return svars.get(pos[j]); };
-
-          // Common factor: the full kernel's loop, verbatim.
-          C cf(S(1.0));
-          for (unsigned j = 0; j < k; ++j) {
-            const unsigned em1 = ctx.load_constant(
-                exponents, tbase + layout.support_index(g, j));
-            const C val = powers.get(std::size_t{em1} * n + pos[j]);
-            if (j == 0) {
-              cf = val;
-            } else {
-              cf = cf * val;
-              ctx.op_cmul();
-            }
-          }
-
-          // ((var(0)..var(k-2)) * cf) * var(k-1), as the values kernel.
-          C p = cf;
-          if (k >= 2) {
-            p = var(0);
-            for (unsigned r = 2; r < k; ++r) {
-              p = p * var(r - 1);
-              ctx.op_cmul();
-            }
-            p = p * cf;
-            ctx.op_cmul();
-          }
-          p = p * var(k - 1);
-          ctx.op_cmul();
-
-          // Value coefficient (portion k), as in the full kernel.
-          p = p * ctx.load(coeffs, cbase + layout.coeff_index(k, g));
-          ctx.op_cmul();
-
-          mons.store(ctx, mons_base + layout.mons_value_index(g), p);
-        }
-        if (!worked) ctx.mark_inactive();
-      });
-      kernel.phases.push_back(detail::make_fused_summation_phase<S>(
-          mons_, values_, layout_, m, n));
-    }
-    return kernel;
-  }
-
   simt::Device& device_;
   SystemLayout layout_;
   unsigned max_tenants_;
   unsigned capacity_;
   Options options_;
-  std::size_t shared_bytes_ = 0;
 
-  simt::ConstantBuffer<unsigned char> positions_, exponents_;
-  simt::GlobalBuffer<C> coeffs_;
-  InterchangeBuffer<S> mons_;
+  detail::FusedBuffers<S> bufs_;
   simt::GlobalBuffer<C> x_, outputs_, values_;
   simt::GlobalBuffer<unsigned> tenant_ids_;
   simt::Kernel kernel_, values_kernel_;

@@ -34,11 +34,12 @@
 ///
 /// The system state (constant tables, folded coefficients, Mons
 /// scratch) is the shared detail::FusedSystemState; only the X and
-/// Outputs buffers are doubled, with one fused kernel bound to each
-/// slot.  Every point's arithmetic is the fused kernel's, unchanged, so
-/// results are BITWISE identical to FusedGpuEvaluator (and to the
-/// synchronous sharded path) for every scalar type, chunk size and
-/// shard count -- the streams reorder *modeled time*, never data.
+/// Outputs buffers are doubled, with one fused kernel pair from the one
+/// builder (detail::build_fused_kernel) bound to each slot.  Every
+/// point's arithmetic is that builder's, so results are BITWISE
+/// identical to FusedGpuEvaluator (and to the synchronous sharded path)
+/// for every scalar type, chunk size and shard count -- the streams
+/// reorder *modeled time*, never data.
 ///
 /// Two clocks, as everywhere in this repo: on the HOST wall clock the
 /// simulator executes stream commands eagerly, so this evaluator costs
@@ -71,7 +72,7 @@ class PipelinedFusedEvaluator {
  public:
   struct Options {
     /// Threads per block; 0 = auto: measured tuning, or the
-    /// pick_block_size(n, m, k, micro_chunk) seed in kHeuristic mode --
+    /// pick_block_size(n, m, k, micro_chunk, SMs) seed in kHeuristic mode --
     /// the grid of one launch is the micro-chunk, so under-full grids
     /// widen automatically.
     unsigned block_size = 0;
@@ -79,7 +80,6 @@ class PipelinedFusedEvaluator {
     /// batch capacity is walked in ceil(capacity / micro_chunk)
     /// launches.  Clamped to the batch capacity.
     unsigned micro_chunk = 8;
-    ExponentEncoding encoding = ExponentEncoding::kChar;
     /// nullopt = auto (tuned, or AoS in kHeuristic mode).
     std::optional<InterchangeLayout> interchange;
     /// Pipeline streams: 2 (shared copy stream) or 3 (dedicated
@@ -101,7 +101,7 @@ class PipelinedFusedEvaluator {
         options_(resolve_options(device, system, batch_capacity, options)),
         capacity_(batch_capacity),
         micro_(std::min(options_.micro_chunk, batch_capacity)),
-        sys_(device, system, std::max(micro_, 1u), options_.encoding,
+        sys_(device, system, std::max(micro_, 1u),
              options_.interchange.value_or(InterchangeLayout::kAoS)),
         copy_stream_(device, options_.cost),
         compute_stream_(device, options_.cost),
@@ -122,10 +122,9 @@ class PipelinedFusedEvaluator {
                                             b == 0 ? "Outputs[pipe0]" : "Outputs[pipe1]");
       values_[b] = device_.alloc_global<C>(std::size_t{micro_} * s.n,
                                            b == 0 ? "Values[pipe0]" : "Values[pipe1]");
-      kernels_[b] = detail::build_fused_kernel<S>(sys_, options_.encoding, x_[b],
-                                                  outputs_[b]);
-      values_kernels_[b] = detail::build_fused_values_kernel<S>(sys_, options_.encoding,
-                                                                x_[b], values_[b]);
+      kernels_[b] = sys_.template kernel<detail::FusedOutput::kFull>(x_[b], outputs_[b]);
+      values_kernels_[b] =
+          sys_.template kernel<detail::FusedOutput::kValues>(x_[b], values_[b]);
       flat_[b].reserve(std::size_t{micro_} * s.n);
       host_outputs_[b].reserve(std::size_t{micro_} * outs);
     }
@@ -171,7 +170,8 @@ class PipelinedFusedEvaluator {
   /// the two-stream pipeline in micro-chunks.
   void evaluate_range(const std::vector<std::vector<C>>& points, std::size_t first,
                       std::size_t count, std::span<poly::EvalResult<S>> out) {
-    validate_range(points, first, count, out.size(), count);
+    detail::check_range("PipelinedFusedEvaluator", points, first, count, capacity_,
+                        dimension(), out.size(), count);
 
     const std::size_t kernels_before = device_.log().kernels.size();
     const simt::TransferStats transfers_before = device_.log().transfers;
@@ -186,7 +186,7 @@ class PipelinedFusedEvaluator {
   /// Values-only counterpart of evaluate_range: f at the `count` points
   /// starting at points[first], walked through the same two-stream
   /// double-buffered schedule with the fused VALUES kernel
-  /// (build_fused_values_kernel), out[i*n + q] receiving value q of the
+  /// (detail::build_fused_kernel), out[i*n + q] receiving value q of the
   /// i-th point of the range.  The per-chunk downloads are micro_chunk*n
   /// values instead of micro_chunk*(n^2+n) outputs, so a corrector's
   /// residual probes leave the DMA engines almost idle for the
@@ -194,8 +194,8 @@ class PipelinedFusedEvaluator {
   /// FusedGpuEvaluator's (full or values-only) for every chunking.
   void evaluate_values_range(const std::vector<std::vector<C>>& points,
                              std::size_t first, std::size_t count, std::span<C> out) {
-    validate_range(points, first, count, out.size(),
-                   count * sys_.packed.structure.n);
+    detail::check_range("PipelinedFusedEvaluator", points, first, count, capacity_,
+                        dimension(), out.size(), count * dimension());
 
     const std::size_t kernels_before = device_.log().kernels.size();
     const simt::TransferStats transfers_before = device_.log().transfers;
@@ -317,24 +317,6 @@ class PipelinedFusedEvaluator {
     return options;
   }
 
-  /// Shared validation of the two range entry points: batch capacity,
-  /// range bounds, the caller's output span (sized `out_needed`) and
-  /// point dimensions.  Throws before any device work.
-  void validate_range(const std::vector<std::vector<C>>& points, std::size_t first,
-                      std::size_t count, std::size_t out_size,
-                      std::size_t out_needed) const {
-    const unsigned s_n = sys_.packed.structure.n;
-    if (count == 0 || count > capacity_)
-      throw std::invalid_argument("PipelinedFusedEvaluator: bad batch size");
-    if (first > points.size() || count > points.size() - first ||
-        out_size < out_needed)
-      throw std::invalid_argument("PipelinedFusedEvaluator: bad point range");
-    for (std::size_t p = first; p < first + count; ++p)
-      if (points[p].size() != s_n)
-        throw std::invalid_argument(
-            "PipelinedFusedEvaluator: point has wrong dimension");
-  }
-
   /// The ONE copy of the two-stream double-buffer schedule, shared by
   /// the full and values-only ranges (they differ only in the kernel
   /// pair and the drain): upload chunk c into slot c&1 behind the slot's
@@ -368,10 +350,7 @@ class PipelinedFusedEvaluator {
       // whose kernel must have consumed it (modeled hazard; host-side
       // the eager order already guarantees it).
       if (c >= 2) copy_stream_.wait(kernel_done_[buf]);
-      flat_[buf].resize(cnt * s_n);
-      for (std::size_t p = 0; p < cnt; ++p)
-        std::copy(points[first + base + p].begin(), points[first + base + p].end(),
-                  flat_[buf].begin() + p * s_n);
+      detail::pack_points(points, first + base, cnt, s_n, flat_[buf]);
       copy_stream_.copy_to_device_async(x_[buf], std::span<const C>(flat_[buf]));
       copy_stream_.record(up_done_[buf]);
 

@@ -13,7 +13,7 @@
 /// Per-path bitwise contract: each path runs EXACTLY newton::refine's
 /// arithmetic -- the batched evaluators guarantee per-point independence
 /// (one block per point), the values-only probe is bit-identical to a
-/// full evaluation's values (build_fused_values_kernel), and LuArena
+/// full evaluation's values (detail::build_fused_kernel), and LuArena
 /// repeats lu_solve's elimination verbatim -- so a path's iterates,
 /// residuals and convergence verdicts are independent of which other
 /// paths shared its batches.  What the batching buys: paths that

@@ -17,27 +17,26 @@ using core::pick_block_size;
 TEST(BlockHeuristic, FullGridsGetOneWarp) {
   // Once the batch covers the 14 Fermi SMs, inter-block parallelism
   // already hides latency; the narrow block minimizes per-block cost.
-  EXPECT_EQ(pick_block_size(16, 22, 9, 16), 32u);   // bench_batch dim 16
-  EXPECT_EQ(pick_block_size(32, 22, 9, 16), 32u);   // bench_batch dim 32
-  EXPECT_EQ(pick_block_size(16, 22, 9, 256), 32u);  // bench_sharding batches
-  EXPECT_EQ(pick_block_size(8, 6, 4, 14), 32u);     // boundary: batch == SMs
+  EXPECT_EQ(pick_block_size(16, 22, 9, 16, 14), 32u);   // bench_batch dim 16
+  EXPECT_EQ(pick_block_size(32, 22, 9, 16, 14), 32u);   // bench_batch dim 32
+  EXPECT_EQ(pick_block_size(16, 22, 9, 256, 14), 32u);  // bench_sharding batches
+  EXPECT_EQ(pick_block_size(8, 6, 4, 14, 14), 32u);     // boundary: batch == SMs
 }
 
 TEST(BlockHeuristic, UnderFullGridsWiden) {
   // Small batches leave SMs idle, so the block widens to move
   // parallelism inside the point.
-  EXPECT_EQ(pick_block_size(16, 22, 9, 1), 64u);   // single-point tracker
-  EXPECT_EQ(pick_block_size(16, 4, 2, 8), 64u);    // pipeline micro-chunks
-  EXPECT_EQ(pick_block_size(8, 6, 4, 4), 32u);     // small system stays narrow
-  EXPECT_EQ(pick_block_size(32, 22, 9, 1), 160u);  // wide system, lone point
+  EXPECT_EQ(pick_block_size(16, 22, 9, 1, 14), 64u);   // single-point tracker
+  EXPECT_EQ(pick_block_size(16, 4, 2, 8, 14), 64u);    // pipeline micro-chunks
+  EXPECT_EQ(pick_block_size(8, 6, 4, 4, 14), 32u);     // small system stays narrow
+  EXPECT_EQ(pick_block_size(32, 22, 9, 1, 14), 160u);  // wide system, lone point
 }
 
 TEST(BlockHeuristic, SpecAwareSeedUsesTheDeviceSmCount) {
-  // The 5-arg form takes the SM count from the owning DeviceSpec
-  // instead of hard-coding Fermi's 14: the same batch that widens on a
+  // The SM count comes from the owning DeviceSpec instead of being
+  // hard-coded to Fermi's 14: the same batch that widens on a
   // 14-SM part stays narrow on a 4-SM part (batch >= SMs) and widens
   // on a 30-SM part (batch < SMs).
-  EXPECT_EQ(pick_block_size(16, 22, 9, 16), pick_block_size(16, 22, 9, 16, 14));
   EXPECT_EQ(pick_block_size(16, 22, 9, 8, 4), 32u);    // 8 >= 4 SMs: one warp
   EXPECT_EQ(pick_block_size(16, 22, 9, 8, 14), 64u);   // 8 < 14 SMs: widened
   EXPECT_EQ(pick_block_size(16, 22, 9, 16, 30), 64u);  // 16 < 30 SMs: widened
@@ -47,14 +46,14 @@ TEST(BlockHeuristic, SpecAwareSeedUsesTheDeviceSmCount) {
 TEST(BlockHeuristic, CapsAndClamps) {
   // Never wider than 256, never narrower than one warp, and never
   // wider than the narrower per-point loop can feed.
-  EXPECT_EQ(pick_block_size(64, 60, 9, 1), 256u);
-  EXPECT_EQ(pick_block_size(1, 1, 1, 1), 32u);
-  EXPECT_EQ(pick_block_size(2, 2, 1, 1), 32u);
+  EXPECT_EQ(pick_block_size(64, 60, 9, 1, 14), 256u);
+  EXPECT_EQ(pick_block_size(1, 1, 1, 1, 14), 32u);
+  EXPECT_EQ(pick_block_size(2, 2, 1, 1, 14), 32u);
   for (const unsigned n : {1u, 4u, 16u, 64u})
     for (const unsigned m : {1u, 8u, 32u})
       for (const unsigned k : {1u, 4u, 9u})
         for (const unsigned batch : {1u, 8u, 64u}) {
-          const unsigned block = pick_block_size(n, m, k, batch);
+          const unsigned block = pick_block_size(n, m, k, batch, 14);
           EXPECT_GE(block, 32u) << n << "," << m << "," << k << "," << batch;
           EXPECT_LE(block, 256u) << n << "," << m << "," << k << "," << batch;
           EXPECT_EQ(block % 32u, 0u) << n << "," << m << "," << k << "," << batch;

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -18,6 +19,8 @@
 #include "newton/batch.hpp"
 #include "parity_oracles.hpp"
 #include "poly/random_system.hpp"
+#include "prec/double_double.hpp"
+#include "prec/quad_double.hpp"
 #include "service/solve_service.hpp"
 
 namespace {
@@ -25,11 +28,12 @@ namespace {
 using namespace polyeval;
 using Cd = cplx::Complex<double>;
 
-poly::PolynomialSystem small_system(std::uint32_t seed, unsigned dimension = 3) {
+poly::PolynomialSystem small_system(std::uint32_t seed, unsigned dimension = 3,
+                                    unsigned variables_per_monomial = 2) {
   poly::SystemSpec spec;
   spec.dimension = dimension;
   spec.monomials_per_polynomial = 3;
-  spec.variables_per_monomial = 2;
+  spec.variables_per_monomial = variables_per_monomial;
   spec.max_exponent = 2;
   spec.seed = seed;
   return poly::make_random_system(spec);
@@ -476,40 +480,92 @@ TEST(SolveService, AsyncSubmitPollCancelFromClientThreads) {
                              standalone(sys_b, opt).paths);
 }
 
+template <class T>
+bool same_bits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// One multi-tenant evaluator over two tenants against each tenant's
+/// single-tenant evaluator, in one output mode, for k variables per
+/// monomial.  Two launches: the second routes every point slot to the
+/// OTHER tenant, so each slot's Mons still holds the first tenant's
+/// derivatives when it runs (the full kernel's re-pad path).
+template <prec::RealScalar S>
+void expect_multi_tenant_matches_single_tenant(unsigned k, bool values_only) {
+  using C = cplx::Complex<S>;
+  constexpr unsigned n = 5, batch = 6;
+  const auto sys_a = small_system(99, n, k);
+  const auto sys_b = small_system(1234, n, k);
+
+  std::vector<std::vector<C>> points;
+  for (unsigned p = 0; p < batch; ++p)
+    points.push_back(poly::make_random_point<S>(n, 500 + p));
+
+  simt::Device dev_mt, dev_a, dev_b;
+  core::FusedGpuEvaluator<S> eval_a(dev_a, sys_a, batch);
+  core::FusedGpuEvaluator<S> eval_b(dev_b, sys_b, batch);
+  std::vector<poly::EvalResult<S>> want_a(batch), want_b(batch);
+  std::vector<C> want_va(std::size_t{batch} * n), want_vb(std::size_t{batch} * n);
+  if (values_only) {
+    eval_a.evaluate_values_range(points, 0, batch, std::span<C>(want_va));
+    eval_b.evaluate_values_range(points, 0, batch, std::span<C>(want_vb));
+  } else {
+    eval_a.evaluate(points, want_a);
+    eval_b.evaluate(points, want_b);
+  }
+
+  core::MultiTenantFusedEvaluator<S> mt(dev_mt, core::pack_system(sys_a).structure,
+                                        /*max_tenants=*/2, batch);
+  mt.set_tenant(0, sys_a);
+  mt.set_tenant(1, sys_b);
+  const std::vector<std::vector<unsigned>> routings = {{0, 1, 1, 0, 1, 0},
+                                                       {1, 0, 0, 1, 0, 1}};
+  for (std::size_t launch = 0; launch < routings.size(); ++launch) {
+    const auto& tenants = routings[launch];
+    mt.bind_tenants(std::span<const unsigned>(tenants));
+    if (values_only) {
+      std::vector<C> got(std::size_t{batch} * n);
+      mt.evaluate_values_range(points, 0, batch, std::span<C>(got));
+      for (unsigned p = 0; p < batch; ++p) {
+        const auto& want = tenants[p] == 0 ? want_va : want_vb;
+        EXPECT_TRUE(same_bits(std::span<const C>(want).subspan(p * n, n),
+                              std::span<const C>(got).subspan(p * n, n)))
+            << "launch " << launch << ", point " << p;
+      }
+    } else {
+      std::vector<poly::EvalResult<S>> got(batch);
+      mt.evaluate_range(points, 0, batch, std::span<poly::EvalResult<S>>(got));
+      for (unsigned p = 0; p < batch; ++p) {
+        const auto& want = tenants[p] == 0 ? want_a[p] : want_b[p];
+        EXPECT_TRUE(same_bits(std::span<const C>(want.values),
+                              std::span<const C>(got[p].values)) &&
+                    same_bits(std::span<const C>(want.jacobian),
+                              std::span<const C>(got[p].jacobian)))
+            << "launch " << launch << ", point " << p;
+      }
+    }
+  }
+}
+
 TEST(MultiTenantEvaluator, MatchesSingleTenantEvaluatorsBitwise) {
   // The coalescing primitive: one multi-tenant launch over interleaved
   // tenant ids must reproduce each tenant's single-tenant evaluator bit
-  // for bit (same fold, same kernel arithmetic, tables selected by id).
-  const auto sys_a = small_system(99);
-  const auto sys_b = small_system(1234);
-  const unsigned batch = 6;
-
-  std::vector<std::vector<Cd>> points;
-  for (unsigned p = 0; p < batch; ++p)
-    points.push_back(poly::make_random_point<double>(3, 500 + p));
-
-  simt::Device dev_mt, dev_a, dev_b;
-  core::FusedGpuEvaluator<double> eval_a(dev_a, sys_a, batch);
-  core::FusedGpuEvaluator<double> eval_b(dev_b, sys_b, batch);
-  std::vector<poly::EvalResult<double>> want_a, want_b;
-  eval_a.evaluate(points, want_a);
-  eval_b.evaluate(points, want_b);
-
-  core::MultiTenantFusedEvaluator<double> mt(
-      dev_mt, core::pack_system(sys_a).structure, /*max_tenants=*/2, batch);
-  mt.set_tenant(0, sys_a);
-  mt.set_tenant(1, sys_b);
-  const std::vector<unsigned> tenants = {0, 1, 1, 0, 1, 0};
-  mt.bind_tenants(std::span<const unsigned>(tenants));
-
-  std::vector<poly::EvalResult<double>> got(batch);
-  mt.evaluate_range(points, 0, batch, std::span<poly::EvalResult<double>>(got));
-  for (unsigned p = 0; p < batch; ++p) {
-    const auto& want = tenants[p] == 0 ? want_a[p] : want_b[p];
-    EXPECT_EQ(poly::max_abs_diff(want, got[p]), 0.0) << "point " << p;
-  }
+  // for bit (same fold, same kernel arithmetic, tables selected by id),
+  // in both output modes, every precision, and across the k == 1,
+  // k == 2 and k >= 3 edges of the monomial arithmetic.
+  for (const unsigned k : {1u, 2u, 4u})
+    for (const bool values_only : {false, true}) {
+      SCOPED_TRACE("k = " + std::to_string(k) + (values_only ? ", values" : ", full"));
+      expect_multi_tenant_matches_single_tenant<double>(k, values_only);
+      expect_multi_tenant_matches_single_tenant<prec::DoubleDouble>(k, values_only);
+      expect_multi_tenant_matches_single_tenant<prec::QuadDouble>(k, values_only);
+    }
 
   // Structure mismatch is rejected at install time.
+  simt::Device device;
+  core::MultiTenantFusedEvaluator<double> mt(
+      device, core::pack_system(small_system(99)).structure, /*max_tenants=*/2, 1);
   EXPECT_THROW(mt.set_tenant(1, small_system(5, 4)), std::invalid_argument);
 }
 

@@ -342,12 +342,25 @@ std::vector<SweepEntry> run_production_sweep(bool quick) {
     const char* name;
     poly::SystemSpec spec;
   };
+  // The two tiny shapes reach the monomial arithmetic's edge branches
+  // (k == 1, k == 2) and the degree-one powers table (d == 1); k is
+  // uniform per system, so each edge needs a shape of its own.
   std::vector<Shape> shapes = {
       {"n8_m8_k4_d2", {.dimension = 8,
                        .monomials_per_polynomial = 8,
                        .variables_per_monomial = 4,
                        .max_exponent = 2,
                        .seed = 20120102}},
+      {"n4_m3_k1_d1", {.dimension = 4,
+                       .monomials_per_polynomial = 3,
+                       .variables_per_monomial = 1,
+                       .max_exponent = 1,
+                       .seed = 20120104}},
+      {"n5_m3_k2_d1", {.dimension = 5,
+                       .monomials_per_polynomial = 3,
+                       .variables_per_monomial = 2,
+                       .max_exponent = 1,
+                       .seed = 20120105}},
   };
   if (!quick)
     shapes.push_back({"n16_m20_k6_d3", {.dimension = 16,
