@@ -84,30 +84,36 @@ class GpuEvaluator {
     const auto blocks_for = [&](std::uint64_t work) {
       return static_cast<unsigned>((work + options_.block_size - 1) / options_.block_size);
     };
+    // One point per pass: each kernel's blocks-per-point stride is its
+    // whole grid.
+    const unsigned mono_blocks = blocks_for(layout_.total_monomials());
+    const unsigned out_blocks = blocks_for(layout_.num_outputs());
+    const unsigned n_blocks = blocks_for(s.n);
 
     if (options_.powers == PowersStrategy::kSeparateKernel) {
       bufs_.powers = device_.alloc_global<C>(std::size_t{s.n} * s.d, "Powers");
       kernel0_ = make_powers_kernel<S>(bufs_, layout_);
-      cfg0_ = {blocks_for(s.n), options_.block_size, 0};
+      cfg0_ = {n_blocks, options_.block_size, 0};
       kernel1_ = make_common_factor_from_global_kernel<S>(bufs_, layout_,
                                                           options_.encoding);
-      cfg1_ = {blocks_for(layout_.total_monomials()), options_.block_size, 0};
+      cfg1_ = {mono_blocks, options_.block_size, 0};
     } else {
-      kernel1_ = make_common_factor_kernel<S>(bufs_, layout_, options_.encoding);
-      cfg1_ = {blocks_for(layout_.total_monomials()), options_.block_size,
-               std::size_t{s.n} * s.d * sizeof(C)};
+      kernel1_ = make_common_factor_kernel<S>(bufs_, layout_, options_.encoding,
+                                              mono_blocks, "common_factors");
+      cfg1_ = {mono_blocks, options_.block_size, std::size_t{s.n} * s.d * sizeof(C)};
     }
-    kernel2_ = make_speelpenning_kernel<S>(bufs_, layout_, options_.encoding);
-    kernel3_ = make_summation_kernel<S>(bufs_, layout_);
-    values_kernel_ = make_values_kernel<S>(bufs_, layout_);
-    values_sum_kernel_ = make_values_summation_kernel<S>(bufs_, layout_);
+    kernel2_ = make_speelpenning_kernel<S>(bufs_, layout_, mono_blocks, "speelpenning");
+    kernel3_ = make_summation_kernel<S>(bufs_, layout_, layout_.num_outputs(), out_blocks,
+                                        "summation");
+    values_kernel_ = make_values_kernel<S>(bufs_, layout_, mono_blocks);
+    values_sum_kernel_ =
+        make_summation_kernel<S>(bufs_, layout_, s.n, n_blocks, "values_summation");
 
-    cfg2_ = {blocks_for(layout_.total_monomials()), options_.block_size,
+    cfg2_ = {mono_blocks, options_.block_size,
              (std::size_t{s.n} + std::size_t{options_.block_size} * (s.k + 1)) * sizeof(C)};
-    cfg3_ = {blocks_for(layout_.num_outputs()), options_.block_size, 0};
-    cfg_values_ = {blocks_for(layout_.total_monomials()), options_.block_size,
-                   std::size_t{s.n} * sizeof(C)};
-    cfg_values_sum_ = {blocks_for(s.n), options_.block_size, 0};
+    cfg3_ = {out_blocks, options_.block_size, 0};
+    cfg_values_ = {mono_blocks, options_.block_size, std::size_t{s.n} * sizeof(C)};
+    cfg_values_sum_ = {n_blocks, options_.block_size, 0};
 
     host_outputs_.resize(layout_.num_outputs());
   }
@@ -133,16 +139,9 @@ class GpuEvaluator {
     (void)device_.launch(kernel3_, cfg3_);
     device_.download(bufs_.outputs, std::span<C>(host_outputs_));
 
-    const unsigned n = packed_.structure.n;
-    out.resize(n);
-    for (unsigned p = 0; p < n; ++p)
-      out.values[p] = host_outputs_[layout_.output_value_index(p)];
-    for (unsigned p = 0; p < n; ++p)
-      for (unsigned v = 0; v < n; ++v)
-        out.jacobian[std::size_t{p} * n + v] =
-            host_outputs_[layout_.output_deriv_index(p, v)];
-
-    snapshot_log(kernels_before, transfers_before);
+    detail::unpack_outputs<S>(layout_, std::span<const C>(host_outputs_), 0, out);
+    detail::snapshot_device_log(device_.log(), kernels_before, transfers_before,
+                                last_log_);
   }
 
   [[nodiscard]] poly::EvalResult<S> evaluate(std::span<const C> x) {
@@ -168,7 +167,8 @@ class GpuEvaluator {
     (void)device_.launch(values_kernel_, cfg_values_);
     (void)device_.launch(values_sum_kernel_, cfg_values_sum_);
     device_.download(bufs_.outputs, values);  // only the first n entries
-    snapshot_log(kernels_before, transfers_before);
+    detail::snapshot_device_log(device_.log(), kernels_before, transfers_before,
+                                last_log_);
   }
 
   /// Kernel statistics and transfer volumes of the last evaluate() call,
@@ -184,22 +184,6 @@ class GpuEvaluator {
   }
 
  private:
-  /// Record this call's slice of the device log for the timing model.
-  void snapshot_log(std::size_t kernels_before, const simt::TransferStats& before) {
-    const auto& log = device_.log();
-    last_log_.kernels.assign(
-        log.kernels.begin() + static_cast<std::ptrdiff_t>(kernels_before),
-        log.kernels.end());
-    last_log_.transfers.bytes_to_device =
-        log.transfers.bytes_to_device - before.bytes_to_device;
-    last_log_.transfers.bytes_from_device =
-        log.transfers.bytes_from_device - before.bytes_from_device;
-    last_log_.transfers.transfers_to_device =
-        log.transfers.transfers_to_device - before.transfers_to_device;
-    last_log_.transfers.transfers_from_device =
-        log.transfers.transfers_from_device - before.transfers_from_device;
-  }
-
   simt::Device& device_;
   Options options_;
   PackedSystem packed_;

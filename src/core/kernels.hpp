@@ -23,6 +23,12 @@
 /// Kernel 3 (section 3.3) -- one thread per output polynomial (n^2+n of
 /// them) adds exactly m terms, structural zeros included, keeping every
 /// warp lane on the same path; reads coalesce by construction.
+///
+/// Each builder here is the one body of its kernel for both the
+/// single-point GpuEvaluator and the batched BatchGpuEvaluator: a
+/// blocks-per-point stride maps every block to the point it serves (see
+/// detail::point_slot), so a batch grid is the single-point grid
+/// repeated once per point.
 
 #include <algorithm>
 #include <array>
@@ -122,7 +128,50 @@ template <prec::RealScalar S>
   return index % 2 == 0 ? (byte & 0x0Fu) : (byte >> 4u);
 }
 
+/// Where a thread works in a grid of `bpp` blocks per point: block b
+/// serves point b / bpp, and g is the thread's monomial (or output)
+/// index within that point.  A single-point grid passes its own block
+/// count, so point == 0 and g is the global thread index.
+struct PointSlot {
+  std::size_t point;
+  std::uint64_t g;
+};
+
+[[nodiscard]] inline PointSlot point_slot(const simt::ThreadContext& ctx, unsigned bpp) {
+  return {ctx.block_index() / bpp,
+          std::uint64_t{ctx.block_index() % bpp} * ctx.block_dim() + ctx.thread_index()};
+}
+
+/// Phase one of kernel 2 and of the values-only kernel: cooperative
+/// coalesced load of the block's point into shared memory ("we would
+/// need to access global memory only once by all threads of a block
+/// simultaneously", section 3.2).
+template <prec::RealScalar S>
+[[nodiscard]] simt::Phase load_point_phase(const DeviceBuffers<S>& bufs, unsigned n,
+                                           unsigned bpp) {
+  using C = cplx::Complex<S>;
+  return [x = bufs.x, n, bpp](simt::ThreadContext& ctx) {
+    const std::size_t point = ctx.block_index() / bpp;
+    auto svars = ctx.template shared_array<C>(0, n);
+    bool worked = false;
+    for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
+      worked = true;
+      svars.set(v, ctx.load(x, point * n + v));
+    }
+    if (!worked) ctx.mark_inactive();
+  };
+}
+
 }  // namespace detail
+
+// The three kernels below (and the values-only kernel 2) serve one
+// point or a batch: each takes the blocks-per-point stride `bpp` of its
+// grid and offsets X, CommonFactors, Mons and Outputs by the block's
+// point.  GpuEvaluator passes each kernel's own grid size (one point);
+// BatchGpuEvaluator passes the per-point block count of a grid scaled
+// by the batch.  Kernel names stay <= 15 chars where the zero-alloc
+// steady state matters: KernelStats copies them per launch, and
+// SSO-sized strings keep those copies off the allocator.
 
 /// Kernel 1: powers table + common factors.
 /// Shared memory: Powers[d rows][n vars] of Complex<S>, row e holding
@@ -130,25 +179,27 @@ template <prec::RealScalar S>
 template <prec::RealScalar S>
 [[nodiscard]] simt::Kernel make_common_factor_kernel(const DeviceBuffers<S>& bufs,
                                                      const SystemLayout& layout,
-                                                     ExponentEncoding enc) {
+                                                     ExponentEncoding enc, unsigned bpp,
+                                                     std::string name) {
   using C = cplx::Complex<S>;
   const auto s = layout.structure();
   const unsigned n = s.n, d = s.d, k = s.k;
   const std::uint64_t monomials = layout.total_monomials();
 
   simt::Kernel kernel;
-  kernel.name = "common_factors";
+  kernel.name = std::move(name);
 
   // Phase one: tabulate powers (strided over variables when n exceeds
   // the block size).
-  kernel.phases.push_back([bufs, n, d](simt::ThreadContext& ctx) {
+  kernel.phases.push_back([bufs, n, d, bpp](simt::ThreadContext& ctx) {
+    const std::size_t point = ctx.block_index() / bpp;
     auto powers = ctx.template shared_array<C>(0, std::size_t{n} * d);
     bool worked = false;
     for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
       worked = true;
       powers.set(v, C(S(1.0)));  // row 0: x^0
       if (d >= 2) {
-        const C xv = ctx.load(bufs.x, v);
+        const C xv = ctx.load(bufs.x, point * n + v);
         powers.set(std::size_t{n} + v, xv);
         for (unsigned e = 2; e < d; ++e) {
           const C next = powers.get(std::size_t{e - 1} * n + v) * xv;
@@ -161,28 +212,30 @@ template <prec::RealScalar S>
   });
 
   // Phase two: one common factor per thread, k-1 multiplications.
-  kernel.phases.push_back([bufs, layout, enc, n, d, k, monomials](simt::ThreadContext& ctx) {
-    const std::uint64_t g = ctx.global_thread_index();
-    if (g >= monomials) {
-      ctx.mark_inactive();
-      return;
-    }
-    auto powers = ctx.template shared_array<C>(0, std::size_t{n} * d);
-    C cf(S(1.0));
-    for (unsigned j = 0; j < k; ++j) {
-      const auto idx = layout.support_index(g, j);
-      const unsigned pos = ctx.load_constant(bufs.positions, idx);
-      const unsigned em1 = detail::load_exponent(ctx, bufs, enc, idx);
-      const C val = powers.get(std::size_t{em1} * n + pos);
-      if (j == 0) {
-        cf = val;
-      } else {
-        cf = cf * val;
-        ctx.op_cmul();
-      }
-    }
-    bufs.common_factors.store(ctx, g, cf);  // coalesced: thread g -> slot g
-  });
+  kernel.phases.push_back(
+      [bufs, layout, enc, n, d, k, monomials, bpp](simt::ThreadContext& ctx) {
+        const auto [point, g] = detail::point_slot(ctx, bpp);
+        if (g >= monomials) {
+          ctx.mark_inactive();
+          return;
+        }
+        auto powers = ctx.template shared_array<C>(0, std::size_t{n} * d);
+        C cf(S(1.0));
+        for (unsigned j = 0; j < k; ++j) {
+          const auto idx = layout.support_index(g, j);
+          const unsigned pos = ctx.load_constant(bufs.positions, idx);
+          const unsigned em1 = detail::load_exponent(ctx, bufs, enc, idx);
+          const C val = powers.get(std::size_t{em1} * n + pos);
+          if (j == 0) {
+            cf = val;
+          } else {
+            cf = cf * val;
+            ctx.op_cmul();
+          }
+        }
+        // coalesced: thread g -> slot g of its point
+        bufs.common_factors.store(ctx, point * monomials + g, cf);
+      });
 
   return kernel;
 }
@@ -266,31 +319,19 @@ template <prec::RealScalar S>
 template <prec::RealScalar S>
 [[nodiscard]] simt::Kernel make_speelpenning_kernel(const DeviceBuffers<S>& bufs,
                                                     const SystemLayout& layout,
-                                                    ExponentEncoding enc) {
+                                                    unsigned bpp, std::string name) {
   using C = cplx::Complex<S>;
   const auto s = layout.structure();
   const unsigned n = s.n, k = s.k;
   const std::uint64_t monomials = layout.total_monomials();
 
   simt::Kernel kernel;
-  kernel.name = "speelpenning";
-
-  // Phase one: cooperative coalesced load of the point into shared
-  // memory ("we would need to access global memory only once by all
-  // threads of a block simultaneously", section 3.2).
-  kernel.phases.push_back([bufs, n](simt::ThreadContext& ctx) {
-    auto svars = ctx.template shared_array<C>(0, n);
-    bool worked = false;
-    for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
-      worked = true;
-      svars.set(v, ctx.load(bufs.x, v));
-    }
-    if (!worked) ctx.mark_inactive();
-  });
+  kernel.name = std::move(name);
+  kernel.phases.push_back(detail::load_point_phase<S>(bufs, n, bpp));
 
   // Phase two: one monomial per thread, 5k-4 multiplications.
-  kernel.phases.push_back([bufs, layout, enc, n, k, monomials](simt::ThreadContext& ctx) {
-    const std::uint64_t g = ctx.global_thread_index();
+  kernel.phases.push_back([bufs, layout, n, k, monomials, bpp](simt::ThreadContext& ctx) {
+    const auto [point, g] = detail::point_slot(ctx, bpp);
     if (g >= monomials) {
       ctx.mark_inactive();
       return;
@@ -299,6 +340,7 @@ template <prec::RealScalar S>
     auto ell = ctx.template shared_array<C>(std::size_t{n} * sizeof(C),
                                             std::size_t{ctx.block_dim()} * (k + 1));
     const std::size_t base = std::size_t{ctx.thread_index()} * (k + 1);
+    const std::size_t mons_base = point * layout.mons_size();
 
     // Cache the k variable positions in registers; one constant read each.
     std::array<unsigned, 256> pos{};
@@ -340,7 +382,7 @@ template <prec::RealScalar S>
 
     // Monomial derivatives: common factor times product derivatives
     // (k multiplications; for k == 1 the derivative IS the factor).
-    const C cf = bufs.common_factors.load(ctx, g);
+    const C cf = bufs.common_factors.load(ctx, point * monomials + g);
     if (k == 1) {
       ell.set(base + 0, cf);
     } else {
@@ -370,9 +412,10 @@ template <prec::RealScalar S>
     // Output: scattered writes into the transposed Mons array (the
     // paper's accepted tradeoff; coalesced under kOutputMajor ablation
     // only for the value row).
-    bufs.mons.store(ctx, layout.mons_value_index(g), ell.get(base + k));
+    bufs.mons.store(ctx, mons_base + layout.mons_value_index(g), ell.get(base + k));
     for (unsigned j = 0; j < k; ++j)
-      bufs.mons.store(ctx, layout.mons_deriv_index(g, pos[j]), ell.get(base + j));
+      bufs.mons.store(ctx, mons_base + layout.mons_deriv_index(g, pos[j]),
+                      ell.get(base + j));
   });
 
   return kernel;
@@ -383,11 +426,11 @@ template <prec::RealScalar S>
 /// be skipped.  One thread per monomial computes
 /// coeff * common_factor * x_{i1}...x_{ik} in k+1 multiplications and
 /// writes the value slot of Mons; the derivative slots keep whatever the
-/// last full evaluation left there, so this kernel pairs with the
-/// values-only summation below, which reads only the value rows.
+/// last full evaluation left there, so this kernel pairs with a
+/// summation over the n value rows only.
 template <prec::RealScalar S>
 [[nodiscard]] simt::Kernel make_values_kernel(const DeviceBuffers<S>& bufs,
-                                              const SystemLayout& layout) {
+                                              const SystemLayout& layout, unsigned bpp) {
   using C = cplx::Complex<S>;
   const auto s = layout.structure();
   const unsigned n = s.n, k = s.k;
@@ -395,17 +438,9 @@ template <prec::RealScalar S>
 
   simt::Kernel kernel;
   kernel.name = "values_only";
-  kernel.phases.push_back([bufs, n](simt::ThreadContext& ctx) {
-    auto svars = ctx.template shared_array<C>(0, n);
-    bool worked = false;
-    for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
-      worked = true;
-      svars.set(v, ctx.load(bufs.x, v));
-    }
-    if (!worked) ctx.mark_inactive();
-  });
-  kernel.phases.push_back([bufs, layout, n, k, monomials](simt::ThreadContext& ctx) {
-    const std::uint64_t g = ctx.global_thread_index();
+  kernel.phases.push_back(detail::load_point_phase<S>(bufs, n, bpp));
+  kernel.phases.push_back([bufs, layout, n, k, monomials, bpp](simt::ThreadContext& ctx) {
+    const auto [point, g] = detail::point_slot(ctx, bpp);
     if (g >= monomials) {
       ctx.mark_inactive();
       return;
@@ -420,64 +455,43 @@ template <prec::RealScalar S>
       ctx.op_cmul();
     }
     // times the common factor and the value coefficient: 2 more.
-    product = product * bufs.common_factors.load(ctx, g);
+    product = product * bufs.common_factors.load(ctx, point * monomials + g);
     ctx.op_cmul();
     product = product * ctx.load(bufs.coeffs, layout.coeff_index(k, g));
     ctx.op_cmul();
-    bufs.mons.store(ctx, layout.mons_value_index(g), product);
-  });
-  return kernel;
-}
-
-/// Values-only summation: only the n system polynomials (not the n^2
-/// Jacobian rows) are accumulated.
-template <prec::RealScalar S>
-[[nodiscard]] simt::Kernel make_values_summation_kernel(const DeviceBuffers<S>& bufs,
-                                                        const SystemLayout& layout) {
-  using C = cplx::Complex<S>;
-  const unsigned m = layout.structure().m;
-  const unsigned n = layout.structure().n;
-
-  simt::Kernel kernel;
-  kernel.name = "values_summation";
-  kernel.phases.push_back([bufs, layout, m, n](simt::ThreadContext& ctx) {
-    const std::uint64_t out = ctx.global_thread_index();
-    if (out >= n) {
-      ctx.mark_inactive();
-      return;
-    }
-    C sum = bufs.mons.load(ctx, layout.mons_index(out, 0));
-    for (unsigned j = 1; j < m; ++j) {
-      sum += bufs.mons.load(ctx, layout.mons_index(out, j));
-      ctx.op_cadd();
-    }
-    ctx.store(bufs.outputs, out, sum);
+    bufs.mons.store(ctx, point * layout.mons_size() + layout.mons_value_index(g),
+                    product);
   });
   return kernel;
 }
 
 /// Kernel 3: one thread per output polynomial sums exactly m terms.
+/// `outputs` is layout.num_outputs() (values and Jacobian) or n (the
+/// value rows only, which lead the output order -- the values-only
+/// pass); each point's Outputs slice stays num_outputs() long.
 template <prec::RealScalar S>
 [[nodiscard]] simt::Kernel make_summation_kernel(const DeviceBuffers<S>& bufs,
-                                                 const SystemLayout& layout) {
+                                                 const SystemLayout& layout,
+                                                 std::uint64_t outputs, unsigned bpp,
+                                                 std::string name) {
   using C = cplx::Complex<S>;
   const unsigned m = layout.structure().m;
-  const std::uint64_t outputs = layout.num_outputs();
 
   simt::Kernel kernel;
-  kernel.name = "summation";
-  kernel.phases.push_back([bufs, layout, m, outputs](simt::ThreadContext& ctx) {
-    const std::uint64_t out = ctx.global_thread_index();
+  kernel.name = std::move(name);
+  kernel.phases.push_back([bufs, layout, m, outputs, bpp](simt::ThreadContext& ctx) {
+    const auto [point, out] = detail::point_slot(ctx, bpp);
     if (out >= outputs) {
       ctx.mark_inactive();
       return;
     }
-    C sum = bufs.mons.load(ctx, layout.mons_index(out, 0));
+    const std::size_t mons_base = point * layout.mons_size();
+    C sum = bufs.mons.load(ctx, mons_base + layout.mons_index(out, 0));
     for (unsigned j = 1; j < m; ++j) {
-      sum += bufs.mons.load(ctx, layout.mons_index(out, j));
+      sum += bufs.mons.load(ctx, mons_base + layout.mons_index(out, j));
       ctx.op_cadd();
     }
-    ctx.store(bufs.outputs, out, sum);
+    ctx.store(bufs.outputs, point * layout.num_outputs() + out, sum);
   });
   return kernel;
 }

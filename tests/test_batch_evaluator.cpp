@@ -5,16 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/batch_evaluator.hpp"
 #include "core/gpu_evaluator.hpp"
 #include "poly/random_system.hpp"
+#include "prec/quad_double.hpp"
 #include "simt/timing.hpp"
 
 namespace {
 
 using namespace polyeval;
 using Cd = cplx::Complex<double>;
-using Cdd = cplx::Complex<prec::DoubleDouble>;
 
 poly::PolynomialSystem make(unsigned n, unsigned m, unsigned k, unsigned d) {
   poly::SystemSpec spec;
@@ -26,41 +28,72 @@ poly::PolynomialSystem make(unsigned n, unsigned m, unsigned k, unsigned d) {
   return poly::make_random_system(spec);
 }
 
-TEST(BatchEvaluator, MatchesPerPointEvaluationExactly) {
-  const auto sys = make(8, 6, 4, 3);
+/// Every value and Jacobian entry of the batched result must be the
+/// single-point pipeline's, byte for byte.
+template <prec::RealScalar S>
+void expect_batch_matches_single(const poly::PolynomialSystem& sys, unsigned block,
+                                 core::InterchangeLayout interchange) {
+  using C = cplx::Complex<S>;
+  constexpr unsigned kPoints = 5;
   simt::Device d1, d2;
-  core::GpuEvaluator<double> single(d1, sys);
-  core::BatchGpuEvaluator<double> batch(d2, sys, 5);
+  typename core::GpuEvaluator<S>::Options sopt;
+  sopt.interchange = interchange;
+  core::GpuEvaluator<S> single(d1, sys, sopt);
+  typename core::BatchGpuEvaluator<S>::Options bopt;
+  bopt.block_size = block;
+  bopt.interchange = interchange;
+  core::BatchGpuEvaluator<S> batch(d2, sys, kPoints, bopt);
+  const unsigned n = single.dimension();
 
-  std::vector<std::vector<Cd>> points;
-  for (unsigned p = 0; p < 5; ++p)
-    points.push_back(poly::make_random_point<double>(8, 200 + p));
+  std::vector<std::vector<C>> points;
+  for (unsigned p = 0; p < kPoints; ++p)
+    points.push_back(poly::make_random_point<S>(n, 200 + p));
 
-  std::vector<poly::EvalResult<double>> batched;
+  std::vector<poly::EvalResult<S>> batched;
   batch.evaluate(points, batched);
-  ASSERT_EQ(batched.size(), 5u);
+  ASSERT_EQ(batched.size(), kPoints);
 
-  for (unsigned p = 0; p < 5; ++p) {
-    const auto want = single.evaluate(std::span<const Cd>(points[p]));
-    EXPECT_EQ(poly::max_abs_diff(want, batched[p]), 0.0) << "point " << p;
+  for (unsigned p = 0; p < kPoints; ++p) {
+    const auto want = single.evaluate(std::span<const C>(points[p]));
+    ASSERT_EQ(batched[p].values.size(), want.values.size());
+    ASSERT_EQ(batched[p].jacobian.size(), want.jacobian.size());
+    EXPECT_EQ(std::memcmp(want.values.data(), batched[p].values.data(),
+                          want.values.size() * sizeof(C)),
+              0)
+        << "values, point " << p;
+    EXPECT_EQ(std::memcmp(want.jacobian.data(), batched[p].jacobian.data(),
+                          want.jacobian.size() * sizeof(C)),
+              0)
+        << "jacobian, point " << p;
   }
 }
 
-TEST(BatchEvaluator, WorksInDoubleDouble) {
-  const auto sys = make(6, 4, 3, 2);
-  simt::Device d1, d2;
-  core::GpuEvaluator<prec::DoubleDouble> single(d1, sys);
-  core::BatchGpuEvaluator<prec::DoubleDouble> batch(d2, sys, 3);
-
-  std::vector<std::vector<Cdd>> points;
-  for (unsigned p = 0; p < 3; ++p)
-    points.push_back(poly::make_random_point<prec::DoubleDouble>(6, 300 + p));
-
-  std::vector<poly::EvalResult<prec::DoubleDouble>> batched;
-  batch.evaluate(points, batched);
-  for (unsigned p = 0; p < 3; ++p) {
-    const auto want = single.evaluate(std::span<const Cdd>(points[p]));
-    EXPECT_EQ(poly::max_abs_diff(want, batched[p]), 0.0) << "point " << p;
+// k == 1 and k == 2 take the Speelpenning body's edge branches; k == 4
+// its general prefix/suffix loop.  48 monomials per point: two blocks
+// per point at block 32, one partly idle block at block 64.
+TEST(BatchEvaluator, MatchesPerPointEvaluationExactly) {
+  for (const unsigned k : {1u, 2u, 4u}) {
+    const auto sys = make(8, 6, k, 3);
+    for (const unsigned block : {32u, 64u}) {
+      for (const auto interchange :
+           {core::InterchangeLayout::kAoS, core::InterchangeLayout::kSoA}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "k=" << k << " block=" << block << " interchange="
+                     << (interchange == core::InterchangeLayout::kAoS ? "AoS" : "SoA"));
+        {
+          SCOPED_TRACE("double");
+          expect_batch_matches_single<double>(sys, block, interchange);
+        }
+        {
+          SCOPED_TRACE("dd");
+          expect_batch_matches_single<prec::DoubleDouble>(sys, block, interchange);
+        }
+        {
+          SCOPED_TRACE("qd");
+          expect_batch_matches_single<prec::QuadDouble>(sys, block, interchange);
+        }
+      }
+    }
   }
 }
 

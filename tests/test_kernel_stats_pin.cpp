@@ -1,6 +1,9 @@
-// Access-order pin for the fused kernels: on one fixed shape (k >= 3)
-// the KernelStats of fused_eval, fused_values, mt_fused and
-// mt_fused_vals are asserted field by field against recorded constants.
+// Access-order pin for the production kernels: on one fixed shape
+// (k >= 3) the KernelStats of the fused kernels (fused_eval,
+// fused_values, mt_fused, mt_fused_vals) and of the paper's three-kernel
+// pipeline (GpuEvaluator full and values-only, its separate-powers
+// ablation, and BatchGpuEvaluator's batch triple) are asserted field by
+// field against recorded constants.
 // The warp collector keys coalescing on per-thread load/store ordinals,
 // so any reordering of a kernel's loads, stores or op counts moves these
 // numbers (and the modeled clock) even when every output stays bitwise
@@ -14,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "core/batch_evaluator.hpp"
+#include "core/gpu_evaluator.hpp"
 #include "core/multitenant_evaluator.hpp"
 #include "poly/random_system.hpp"
 #include "simt/device.hpp"
@@ -62,6 +67,39 @@ constexpr Pin kPins[] = {
      108, 170, 1536, 96, 0, 1, 8, 1, 1, 512},
     {"mt_fused_vals", 4, 128, 4, 1568, 160, 17, 5, 40, 56, 12, 52, 7168, 3584, 84,
      146, 1536, 192, 0, 1, 8, 1, 1, 512},
+};
+
+constexpr Pin kThreeKernelPins[] = {
+    // GpuEvaluator::evaluate, then evaluate_values (which relaunches
+    // kernel 1).
+    {"common_factors", 2, 64, 2, 160, 0, 4, 0, 2, 2, 2, 6, 256, 768, 16, 32, 384,
+     64, 0, 1, 8, 1, 1, 384},
+    {"speelpenning", 2, 64, 2, 768, 0, 16, 0, 14, 38, 10, 129, 4864, 3840, 86, 226,
+     192, 64, 0, 1, 8, 1, 1, 2688},
+    {"summation", 3, 96, 3, 0, 360, 0, 5, 18, 54, 3, 9, 6912, 1152, 0, 0, 0, 24, 0,
+     1, 8, 1, 1, 0},
+    {"common_factors", 2, 64, 2, 160, 0, 4, 0, 2, 2, 2, 6, 256, 768, 16, 32, 384,
+     64, 0, 1, 8, 1, 1, 384},
+    {"values_only", 2, 64, 2, 240, 0, 5, 0, 6, 14, 2, 12, 1792, 768, 10, 10, 192,
+     64, 0, 1, 8, 1, 1, 128},
+    {"values_summation", 1, 32, 1, 0, 40, 0, 5, 6, 6, 1, 1, 768, 128, 0, 0, 0, 24,
+     0, 1, 8, 1, 1, 0},
+    // The separate-powers ablation's evaluate.
+    {"powers_global", 1, 32, 1, 8, 0, 1, 0, 1, 1, 3, 3, 128, 384, 0, 0, 0, 24, 0, 1,
+     8, 1, 1, 0},
+    {"common_factors_global", 2, 64, 2, 144, 0, 3, 0, 8, 24, 2, 6, 3072, 768, 0, 0,
+     384, 16, 0, 1, 8, 1, 1, 0},
+    {"speelpenning", 2, 64, 2, 768, 0, 16, 0, 14, 38, 10, 129, 4864, 3840, 86, 226,
+     192, 64, 0, 1, 8, 1, 1, 2688},
+    {"summation", 3, 96, 3, 0, 360, 0, 5, 18, 54, 3, 9, 6912, 1152, 0, 0, 0, 24, 0,
+     1, 8, 1, 1, 0},
+    // BatchGpuEvaluator at batch kBatch, block kBlock, AoS.
+    {"batch_cfactors", 8, 256, 8, 640, 0, 4, 0, 8, 8, 8, 24, 1024, 3072, 64, 128,
+     1536, 256, 0, 1, 8, 1, 1, 384},
+    {"batch_speel", 8, 256, 8, 3072, 0, 16, 0, 56, 152, 40, 516, 19456, 15360, 344,
+     904, 768, 256, 0, 1, 8, 1, 1, 2688},
+    {"batch_sum", 12, 384, 12, 0, 1440, 0, 5, 72, 216, 12, 36, 27648, 4608, 0, 0, 0,
+     96, 0, 1, 8, 1, 1, 0},
 };
 
 void expect_pinned(const Pin& want, const simt::KernelStats& got) {
@@ -130,6 +168,44 @@ TEST(KernelStatsPin, FusedAndMultiTenantKernelsKeepTheirAccessOrder) {
   }
   ASSERT_EQ(got.size(), std::size(kPins));
   for (std::size_t i = 0; i < got.size(); ++i) expect_pinned(kPins[i], got[i]);
+}
+
+TEST(KernelStatsPin, ThreeKernelPipelineKeepsItsAccessOrder) {
+  const auto sys = pin_system(601);
+  const auto points = pin_points();
+  std::vector<simt::KernelStats> got;
+
+  {
+    simt::Device device;
+    core::GpuEvaluator<double> ev(device, sys);
+    poly::EvalResult<double> result(kN);
+    ev.evaluate(std::span<const Cd>(points[0]), result);
+    std::vector<Cd> values(kN);
+    ev.evaluate_values(std::span<const Cd>(points[0]), std::span<Cd>(values));
+    for (const auto& s : device.log().kernels) got.push_back(s);
+  }
+  {
+    simt::Device device;
+    core::GpuEvaluator<double>::Options opt;
+    opt.powers = core::GpuEvaluator<double>::PowersStrategy::kSeparateKernel;
+    core::GpuEvaluator<double> ev(device, sys, opt);
+    poly::EvalResult<double> result(kN);
+    ev.evaluate(std::span<const Cd>(points[0]), result);
+    for (const auto& s : device.log().kernels) got.push_back(s);
+  }
+  {
+    simt::Device device;
+    core::BatchGpuEvaluator<double>::Options opt;
+    opt.block_size = kBlock;
+    opt.interchange = core::InterchangeLayout::kAoS;
+    opt.tuning = tune::TuningMode::kHeuristic;
+    core::BatchGpuEvaluator<double> ev(device, sys, kBatch, opt);
+    std::vector<poly::EvalResult<double>> results;
+    ev.evaluate(points, results);
+    for (const auto& s : device.log().kernels) got.push_back(s);
+  }
+  ASSERT_EQ(got.size(), std::size(kThreeKernelPins));
+  for (std::size_t i = 0; i < got.size(); ++i) expect_pinned(kThreeKernelPins[i], got[i]);
 }
 
 }  // namespace

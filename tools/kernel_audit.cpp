@@ -8,8 +8,10 @@
 ///     checker that stops firing would silently turn the production
 ///     sweep into a rubber stamp.
 ///  2. **Production sweep** -- every production kernel builder (fused,
-///     values-only, batch triple, pipelined, multi-tenant, Newton
-///     refinement) runs audited across Table-1-shaped systems x
+///     values-only, the paper's three-kernel pipeline -- single-point,
+///     values-only and separate-powers ablation -- and its batch triple,
+///     pipelined, multi-tenant, Newton refinement) runs audited across
+///     Table-1-shaped systems x
 ///     {double, dd, qd} x representative geometries.  The kernels that
 ///     memoize their launch stats (fused and multi-tenant, full and
 ///     values-only) are also re-run on a second point set and must
@@ -31,6 +33,7 @@
 #include "audit/kernel_auditor.hpp"
 #include "core/batch_evaluator.hpp"
 #include "core/fused_evaluator.hpp"
+#include "core/gpu_evaluator.hpp"
 #include "core/multitenant_evaluator.hpp"
 #include "core/pipelined_evaluator.hpp"
 #include "linalg/lu.hpp"
@@ -215,6 +218,28 @@ void sweep_precision(std::vector<SweepEntry>& entries, const char* precision,
     ev.evaluate_range(points, 0, kBatch, std::span<poly::EvalResult<S>>(results));
     aud.begin_epoch();
     ev.evaluate_range(points, 0, kBatch, std::span<poly::EvalResult<S>>(results));
+  });
+
+  // The paper's single-point pipeline under both section-3.1 powers
+  // strategies, full and values-only; packed 4-bit exponents (every
+  // sweep shape has d <= 16) so the nibble decode is audited too.
+  audited(ctx, "three_kernel", [&](polyeval::simt::Device& dev, KernelAuditor& aud) {
+    using Gpu = core::GpuEvaluator<S>;
+    for (const auto powers :
+         {Gpu::PowersStrategy::kPerBlockShared, Gpu::PowersStrategy::kSeparateKernel}) {
+      typename Gpu::Options opt;
+      if (geo.block_size != 0) opt.block_size = geo.block_size;
+      opt.interchange = geo.interchange.value_or(core::InterchangeLayout::kAoS);
+      opt.encoding = core::ExponentEncoding::kPacked4Bit;
+      opt.powers = powers;
+      Gpu ev(dev, system, opt);
+      poly::EvalResult<S> result(spec.dimension);
+      aud.begin_epoch();
+      ev.evaluate(std::span<const C>(points[0]), result);
+      std::vector<C> values(spec.dimension);
+      aud.begin_epoch();
+      ev.evaluate_values(std::span<const C>(points[1]), std::span<C>(values));
+    }
   });
 
   audited(ctx, "pipelined", [&](polyeval::simt::Device& dev, KernelAuditor& aud) {
