@@ -4,18 +4,14 @@
 // and the workload the fused one-block-per-point schedule was built
 // for.
 //
-// Two geometries ride the same harness.  The PROJECTIVE rows (the
-// production default) report solved_frac -- the fraction of paths with
-// a CLASSIFIED endpoint (converged or at infinity); the projective
-// tracker + Cauchy endgame must classify > 90% of the dim-16 double
-// workload (gated, and regression-gated against the committed
-// baseline).  The AFFINE rows keep the historical escape-hatch
-// behavior: random dense total-degree paths mostly stall just short of
-// t = 1 (roots at infinity), but every path still runs its full
-// predictor-corrector life either way, and the two modes are checked
-// BITWISE identical path by path, so the work compared is exactly
-// equal.  Projective results are additionally checked bitwise across
-// lockstep/per-path modes and shard counts 1/2/4.
+// Every row tracks in the service's PROJECTIVE geometry and reports
+// solved_frac -- the fraction of paths with a CLASSIFIED endpoint
+// (converged or at infinity); the projective tracker + Cauchy endgame
+// must classify > 90% of the dim-16 double workload (gated, and
+// regression-gated against the committed baseline).  Lockstep and
+// per-path results are checked BITWISE identical path by path, so the
+// work compared is exactly equal; the dim-16 results are additionally
+// checked bitwise across shard counts 1/2/4.
 //
 // The lockstep rows run the production engine (the solve service, via
 // solve_total_degree_sharded); the per-path rows run the scalar
@@ -39,8 +35,8 @@
 //     single-block launches can occupy only one of the four threads,
 //     lockstep fills all of them.  The >= 2x tracked-paths/sec gate
 //     binds on full runs on >= 4 cores (the bench_sharding policy);
-//     quick mode and small hosts report without gating.  The 2-shard
-//     lockstep configuration is reported ungated alongside.
+//     quick mode and small hosts report without gating.  The 2- and
+//     4-shard lockstep configurations are reported ungated alongside.
 //
 // Emits BENCH_tracking.json; `--quick` is the CI smoke configuration.
 
@@ -114,14 +110,12 @@ template <prec::RealScalar S>
 ModeRow run_mode(const poly::PolynomialSystem& sys, std::uint64_t paths, Mode mode,
                  unsigned shards, unsigned workers_per_shard, double min_seconds,
                  homotopy::SolveSummary<S>* out = nullptr,
-                 unsigned max_steps = 3000,
-                 solve::Geometry geometry = solve::Geometry::kAffine) {
+                 unsigned max_steps = 3000) {
   solve::Options opt;
   opt.sharding.shards = shards;
   opt.sharding.workers_per_shard = workers_per_shard;
   opt.sharding.max_paths = paths;
   opt.tracking.track.max_steps = max_steps;
-  opt.tracking.geometry = geometry;
 
   ModeRow row;
   homotopy::SolveSummary<S> summary;
@@ -277,51 +271,29 @@ int main(int argc, char** argv) {
         .end_object();
   };
 
-  // -- dim 16, double: the gated pair -----------------------------------
+  // -- dim 16, double: the gated pair and the solved-paths rows ---------
   // One device, four host threads (manager + 3 device workers) for BOTH
   // modes: identical resources, so tracked-paths/sec isolates the
-  // launch-level parallelism batching buys.
+  // launch-level parallelism batching buys.  The projective tracker +
+  // Cauchy endgame must CLASSIFY > 90% of the workload, and lockstep
+  // results must be bitwise identical to the scalar (per-path) tracker
+  // and across shard counts 1/2/4.
   const auto sys16 = table1_system(16);
-  homotopy::SolveSummary<double> lockstep16, perpath16;
-  const auto row_lock16 = run_mode<double>(sys16, paths16, Mode::kLockstep, 1, 3,
-                                           min_seconds, &lockstep16);
-  emit("table1_dim16", "lockstep_fused_1x4", row_lock16);
-  const auto row_path16 = run_mode<double>(sys16, paths16, Mode::kPerPath, 1, 3,
-                                           min_seconds, &perpath16);
-  emit("table1_dim16", "perpath_fused_1x4", row_path16);
-  bool bitwise_all = summaries_bitwise_equal(lockstep16, perpath16);
-
-  // The 2-shard configuration (1 worker each), reported ungated.
-  {
-    homotopy::SolveSummary<double> lock2;
-    emit("table1_dim16", "lockstep_fused_2x2",
-         run_mode<double>(sys16, paths16, Mode::kLockstep, shards, 1, min_seconds,
-                          &lock2));
-    bitwise_all = bitwise_all && summaries_bitwise_equal(lockstep16, lock2);
-  }
-
-  // -- dim 16, double, PROJECTIVE: the solved-paths rows ----------------
-  // The tentpole numbers: the projective tracker + Cauchy endgame must
-  // CLASSIFY > 90% of the same workload whose affine rows report ~0
-  // successes, and projective lockstep results must be bitwise
-  // identical to the scalar (per-path) projective tracker and across
-  // shard counts 1/2/4.
   homotopy::SolveSummary<double> proj_lock, proj_path;
-  const auto row_proj_lock =
-      run_mode<double>(sys16, paths16, Mode::kLockstep, 1, 3, min_seconds,
-                       &proj_lock, 3000, solve::Geometry::kProjective);
+  const auto row_proj_lock = run_mode<double>(sys16, paths16, Mode::kLockstep, 1,
+                                              3, min_seconds, &proj_lock);
   emit("table1_dim16_proj", "lockstep_fused_1x4", row_proj_lock);
-  const auto row_proj_path =
-      run_mode<double>(sys16, paths16, Mode::kPerPath, 1, 3, min_seconds,
-                       &proj_path, 3000, solve::Geometry::kProjective);
+  const auto row_proj_path = run_mode<double>(sys16, paths16, Mode::kPerPath, 1,
+                                              3, min_seconds, &proj_path);
   emit("table1_dim16_proj", "perpath_fused_1x4", row_proj_path);
-  bool proj_bitwise = summaries_bitwise_equal(proj_lock, proj_path);
+  bool bitwise_all = summaries_bitwise_equal(proj_lock, proj_path);
+  bool proj_bitwise = bitwise_all;
   for (const unsigned proj_shards : {2u, 4u}) {
     homotopy::SolveSummary<double> proj_s;
     emit("table1_dim16_proj",
          proj_shards == 2 ? "lockstep_fused_2shard" : "lockstep_fused_4shard",
          run_mode<double>(sys16, paths16, Mode::kLockstep, proj_shards, 1,
-                          min_seconds, &proj_s, 3000, solve::Geometry::kProjective));
+                          min_seconds, &proj_s));
     proj_bitwise = proj_bitwise && summaries_bitwise_equal(proj_lock, proj_s);
   }
   const double proj_solved_frac = row_proj_lock.solved_frac;
@@ -363,7 +335,8 @@ int main(int argc, char** argv) {
   }
   json.end_array();
 
-  const double host_speedup = row_lock16.paths_per_sec / row_path16.paths_per_sec;
+  const double host_speedup =
+      row_proj_lock.paths_per_sec / row_proj_path.paths_per_sec;
 
   // Gates.  Bitwise identity across modes and the modeled batching
   // speedup are deterministic and bind in every mode.  The host

@@ -469,7 +469,7 @@ class FusedGpuEvaluator {
   FusedGpuEvaluator(simt::Device& device, const poly::PolynomialSystem& system,
                     unsigned batch_capacity, Options options = {})
       : device_(device),
-        options_(resolve_options(device, system, batch_capacity, options)),
+        options_(resolve_options(device.spec(), system, batch_capacity, options)),
         capacity_(batch_capacity),
         sys_(device, system, batch_capacity,
              options_.interchange.value_or(InterchangeLayout::kAoS)) {
@@ -591,19 +591,31 @@ class FusedGpuEvaluator {
   /// Kernel statistics and transfer volumes of the last evaluate() call.
   [[nodiscard]] const simt::LaunchLog& last_log() const noexcept { return last_log_; }
 
- private:
+  /// The TuneCache key of a measured fused geometry for `capacity`-point
+  /// batches of `structure` on a device of `spec`: the one spelling
+  /// shared by option resolution and every reader of its decisions
+  /// (measured placement weights).
+  [[nodiscard]] static tune::TuneKey tune_key(const poly::UniformStructure& structure,
+                                              unsigned capacity,
+                                              const simt::DeviceSpec& spec) {
+    const unsigned width = static_cast<unsigned>(sizeof(S) / sizeof(double));
+    return tune::TuneKey::make(tune::TunedSchedule::kFused, structure, capacity, 0,
+                               width, spec);
+  }
+
   /// Resolve the auto geometry knobs (block_size == 0, interchange ==
-  /// nullopt) before any member consumes them.  Measured mode (both
-  /// knobs auto): route through the global Autotuner -- on a cache miss
-  /// each candidate geometry is probed on a SCRATCH device (same spec)
-  /// with a full-capacity zero-point batch (values cannot move a memory
+  /// nullopt) for a device of `spec`, as the constructor does before
+  /// any member consumes them.  Measured mode (both knobs auto): route
+  /// through the global Autotuner -- on a cache miss each candidate
+  /// geometry is probed on a SCRATCH device (same spec) with a
+  /// full-capacity zero-point batch (values cannot move a memory
   /// access, so zeros measure exactly the steady state's statistics)
   /// and scored by estimate_log_us under the scalar's cost factor.
   /// Heuristic mode, or any knob pinned: the missing knobs take the
   /// pick_block_size seed and AoS.  Candidate probes construct
   /// themselves with kHeuristic and explicit geometry, so resolution
   /// can never recurse.
-  [[nodiscard]] static Options resolve_options(simt::Device& device,
+  [[nodiscard]] static Options resolve_options(const simt::DeviceSpec& spec,
                                                const poly::PolynomialSystem& system,
                                                unsigned capacity, Options options) {
     const bool auto_block = options.block_size == 0;
@@ -613,7 +625,7 @@ class FusedGpuEvaluator {
       return options;
     }
     const auto st = pack_system(system).structure;
-    const unsigned sms = device.spec().multiprocessors;
+    const unsigned sms = spec.multiprocessors;
     const unsigned seed = pick_block_size(st.n, st.m, st.k, capacity, sms);
     if (options.tuning == tune::TuningMode::kHeuristic || !auto_block ||
         !auto_layout) {
@@ -623,15 +635,14 @@ class FusedGpuEvaluator {
     }
 
     const unsigned width = static_cast<unsigned>(sizeof(S) / sizeof(double));
-    const auto key = tune::TuneKey::make(tune::TunedSchedule::kFused, st, capacity,
-                                         0, width, device.spec());
+    const auto key = tune_key(st, capacity, spec);
     const unsigned blocks[] = {32, 64, 128, 256};
     const unsigned streams[] = {2};
     const auto candidates = tune::standard_candidates(seed, blocks, streams);
     const auto decision = tune::Autotuner::global().tune(
         key, std::span<const tune::TuneCandidate>(candidates),
         [&](const tune::TuneCandidate& cand) -> std::optional<tune::ProbeOutcome> {
-          simt::Device probe_device(device.spec());
+          simt::Device probe_device(spec);
           Options copt = options;
           copt.block_size = cand.block_size;
           copt.interchange = cand.interchange;
@@ -654,6 +665,7 @@ class FusedGpuEvaluator {
     return options;
   }
 
+ private:
   /// Shared head of the two range entry points: check the range (the
   /// caller's output span must hold `out_needed` entries), pack the
   /// points and upload X.  Throws before any device work; returns the

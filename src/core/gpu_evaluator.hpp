@@ -107,7 +107,7 @@ class GpuEvaluator {
                                         "summation");
     values_kernel_ = make_values_kernel<S>(bufs_, layout_, mono_blocks);
     values_sum_kernel_ =
-        make_summation_kernel<S>(bufs_, layout_, s.n, n_blocks, "values_summation");
+        make_summation_kernel<S>(bufs_, layout_, s.n, n_blocks, "values_sum");
 
     cfg2_ = {mono_blocks, options_.block_size,
              (std::size_t{s.n} + std::size_t{options_.block_size} * (s.k + 1)) * sizeof(C)};

@@ -288,7 +288,7 @@ template <prec::RealScalar S>
   const std::uint64_t monomials = layout.total_monomials();
 
   simt::Kernel kernel;
-  kernel.name = "common_factors_global";
+  kernel.name = "cfactors_global";
   kernel.phases.push_back([bufs, layout, enc, n, k, monomials](simt::ThreadContext& ctx) {
     const std::uint64_t g = ctx.global_thread_index();
     if (g >= monomials) {

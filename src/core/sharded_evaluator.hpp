@@ -15,11 +15,12 @@
 ///
 ///   * kWorkStealing (default): chunks are claimed from a shared cursor,
 ///     so a shard that finishes early simply claims more -- the
-///     manager/worker dynamic balance of the MPI implementations.  On a
-///     heterogeneous fleet the cursor is weight-aware: shard s claims
-///     round(weight_s / weight_min) chunks per pull (clamped to [1, 8]),
-///     so a 2x-faster card claims two chunks for every one the slow
-///     card takes instead of meeting it claim-for-claim.
+///     manager/worker dynamic balance of the MPI implementations.  The
+///     cursor is weight-aware: shard s claims round(weight_s /
+///     weight_min) chunks per pull (clamped to [1, 8]), so on a
+///     heterogeneous fleet a 2x-faster card claims two chunks for every
+///     one the slow card takes; on a uniform fleet every quantum is 1,
+///     the claim-for-claim schedule.
 ///   * kStatic: chunk c goes to shard c % shards -- deterministic
 ///     placement for reproducible per-device logs (scaling benches).
 ///   * kWeightedStatic: contiguous chunk quotas proportional to each
@@ -45,9 +46,9 @@
 /// deterministically pre-warms every shard with a full-capacity launch
 /// (so work stealing can never land a chunk on a cold shard mid-flight),
 /// device logs are pre-reserved for the worst-case claim pattern, and
-/// the manager pool hands out chunks through the same zero-alloc claim
-/// cursor `run_kernel` uses -- steady-state evaluate() never touches
-/// the allocator.
+/// chunks are handed out through a stack-local atomic cursor over the
+/// manager pool's zero-alloc range claims -- steady-state evaluate()
+/// never touches the allocator.
 
 #include <algorithm>
 #include <atomic>
@@ -155,7 +156,6 @@ class ShardedEvaluator {
     weights_ = registry_.weights();
     if (!registry_.heterogeneous()) return;
     if constexpr (std::is_same_v<Backend, FusedGpuEvaluator<S>>) {
-      const unsigned width = static_cast<unsigned>(sizeof(S) / sizeof(double));
       std::vector<simt::DeviceSpec> specs;
       specs.reserve(registry_.size());
       for (unsigned i = 0; i < registry_.size(); ++i)
@@ -163,8 +163,8 @@ class ShardedEvaluator {
       const auto measured = tune::measured_fleet_weights(
           tune::Autotuner::global(), std::span<const simt::DeviceSpec>(specs),
           [&](const simt::DeviceSpec& spec) {
-            return tune::TuneKey::make(tune::TunedSchedule::kFused, structure_,
-                                       options_.chunk_points, 0, width, spec);
+            return FusedGpuEvaluator<S>::tune_key(structure_,
+                                                  options_.chunk_points, spec);
           });
       if (measured.has_value()) weights_ = *measured;
     }
@@ -207,33 +207,25 @@ class ShardedEvaluator {
     if (!manager_) {
       for (std::size_t c = 0; c < chunks; ++c) run_chunk(0, c);
     } else if (options_.schedule == ShardSchedule::kWorkStealing) {
-      if (!registry_.heterogeneous()) {
-        // participant ids are unique per executing thread for the job and
-        // range over [0, shards), so each backend has one user at a time.
-        manager_->parallel_for_ranges(
-            chunks, 1, [&](unsigned participant, std::size_t begin, std::size_t end) {
-              for (std::size_t c = begin; c < end; ++c) run_chunk(participant, c);
-            });
-      } else {
-        // Weight-aware stealing: shard s's claim quantum is its weight
-        // relative to the slowest shard (a 2x-faster card pulls two
-        // chunks per claim), clamped to 8 so no quantum outruns the
-        // balance the cursor exists to provide.  The pool only maps
-        // participants onto shards here; the chunk cursor is ours.
-        std::atomic<std::size_t> cursor{0};
-        manager_->parallel_for_ranges(
-            shards, 1, [&](unsigned, std::size_t begin, std::size_t end) {
-              for (std::size_t s = begin; s < end; ++s) {
-                const std::size_t quantum = steal_quantum(static_cast<unsigned>(s));
-                for (std::size_t base = cursor.fetch_add(quantum); base < chunks;
-                     base = cursor.fetch_add(quantum)) {
-                  const std::size_t stop = std::min(base + quantum, chunks);
-                  for (std::size_t c = base; c < stop; ++c)
-                    run_chunk(static_cast<unsigned>(s), c);
-                }
+      // Weight-aware stealing: shard s's claim quantum is its weight
+      // relative to the slowest shard (a 2x-faster card pulls two
+      // chunks per claim; 1 everywhere on a uniform fleet), clamped to 8
+      // so no quantum outruns the balance the cursor exists to provide.
+      // The pool only maps participants onto shards, each claimed once,
+      // so every backend has one user at a time; the chunk cursor is ours.
+      std::atomic<std::size_t> cursor{0};
+      manager_->parallel_for_ranges(
+          shards, 1, [&](unsigned, std::size_t begin, std::size_t end) {
+            for (std::size_t s = begin; s < end; ++s) {
+              const std::size_t quantum = steal_quantum(static_cast<unsigned>(s));
+              for (std::size_t base = cursor.fetch_add(quantum); base < chunks;
+                   base = cursor.fetch_add(quantum)) {
+                const std::size_t stop = std::min(base + quantum, chunks);
+                for (std::size_t c = base; c < stop; ++c)
+                  run_chunk(static_cast<unsigned>(s), c);
               }
-            });
-      }
+            }
+          });
     } else if (options_.schedule == ShardSchedule::kWeightedStatic) {
       // Deterministic proportional placement: shard s owns the
       // contiguous chunk range [starts_[s], starts_[s] + quota_[s]).

@@ -12,15 +12,16 @@
 /// service so every shard's whole slice of the paths is resident at
 /// once, and return the results indexed by path.
 ///
-/// Geometry: PROJECTIVE tracking is the default -- start roots are
+/// Geometry: the service tracks PROJECTIVELY -- start roots are
 /// embedded in a random patch hyperplane c . z = 1 (homogenize.hpp),
 /// the trackers renormalize into the patch and classify endpoints
 /// (converged / at infinity / stalled / diverged) with the Cauchy
 /// endgame answering t -> 1 stalls.  The device still evaluates the
 /// AFFINE target (the homogeneous rows are lifted on the host,
 /// projective.hpp), so the paper's uniform structure requirement is
-/// untouched.  solve::Geometry::kAffine keeps the historical affine
-/// tracker, whose paths to infinity stall.
+/// untouched.  Affine lockstep tracking stays a library capability
+/// (BatchPathTracker over BatchedHomotopy, solver.hpp) outside the
+/// service.
 ///
 /// Reproducibility: a path's trajectory depends only on its start root,
 /// gamma, the patch and the evaluators, all identical across shards, so
@@ -76,10 +77,10 @@ SolveSummary<S> solve_one_shot(
 
 /// Track the given AFFINE start roots of `start_system` through the
 /// gamma homotopy to roots of `target`, paths distributed over device
-/// shards.  summary.paths[i] is the i-th start root's result; in
-/// projective geometry (the default) its solution is the patched
-/// projective point (n+1 coordinates, homotopy::dehomogenize for the
-/// affine chart) and its status classifies the endpoint.
+/// shards.  summary.paths[i] is the i-th start root's result: its
+/// solution is the patched projective point (n+1 coordinates,
+/// homotopy::dehomogenize for the affine chart) and its status
+/// classifies the endpoint.
 template <prec::RealScalar S>
 SolveSummary<S> track_paths_sharded(
     const poly::PolynomialSystem& target, const poly::PolynomialSystem& start_system,

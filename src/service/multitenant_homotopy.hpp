@@ -1,19 +1,20 @@
 #pragma once
 
 /// \file multitenant_homotopy.hpp
-/// Slot-aware batched homotopies over the multi-tenant fused evaluator:
-/// the glue that lets ONE BatchPathTracker round carry live paths from
-/// SEVERAL solve requests.  Each tracker slot is assigned a tenant
-/// (assign_slot); the tracker announces which slots the next chunk's
-/// points belong to through bind_slots (newton::SlotAwareEvaluator),
-/// and the wrapper translates slot -> tenant per point, binds the
-/// tenant routing on the device evaluator, and runs each point's
-/// CPU-side start system / gamma blend / projective assembly with that
-/// tenant's OWN objects.  Per-point arithmetic is exactly
-/// BatchedHomotopy's (affine) or BatchedProjectiveHomotopy's
-/// (projective), so a path tracks bitwise identically whether its
-/// request rides alone or coalesced -- the property the solve service's
-/// cross-request batching rests on.
+/// The slot-aware batched projective homotopy over the multi-tenant
+/// fused evaluator: the glue that lets ONE BatchPathTracker round carry
+/// live paths from SEVERAL solve requests.  Each tracker slot is
+/// assigned a tenant (assign_slot); the tracker announces which slots
+/// the next chunk's points belong to through bind_slots
+/// (newton::SlotAwareEvaluator), and the wrapper translates slot ->
+/// tenant per point, binds the tenant routing on the device evaluator,
+/// and runs each point's CPU-side dehomogenization / start system /
+/// projective assembly with that tenant's OWN objects.  Per-point
+/// arithmetic is exactly BatchedProjectiveHomotopy's, so a path tracks
+/// bitwise identically whether its request rides alone or coalesced --
+/// the property the solve service's cross-request batching rests on.
+/// The service tracks in this one geometry; affine lockstep tracking
+/// stays a library capability (BatchPathTracker over BatchedHomotopy).
 
 #include <optional>
 #include <span>
@@ -250,176 +251,6 @@ class MultiTenantProjectiveHomotopy {
   std::vector<C> fhat_v_;
   std::vector<unsigned> chunk_tenants_;  ///< tenant of each chunk slot
   std::vector<unsigned> inner_tenants_;  ///< device-launch routing staging
-};
-
-/// Affine geometry: per-tenant {start evaluator, gamma} blended as
-/// BatchedHomotopy, slot-routed like the projective wrapper.
-template <prec::RealScalar S>
-class MultiTenantAffineHomotopy {
-  using C = cplx::Complex<S>;
-
- public:
-  using BatchedHomotopyTag = void;
-
-  MultiTenantAffineHomotopy(core::MultiTenantFusedEvaluator<S>& f,
-                            std::size_t slot_capacity)
-      : f_(f),
-        max_batch_(f.batch_capacity()),
-        g_eval_(f.dimension()),
-        g_vals_(f.dimension()) {
-    const unsigned n = f_.dimension();
-    tenants_.resize(f_.max_tenants());
-    slot_tenant_.assign(slot_capacity, kUnassigned);
-    f_chunk_.resize(max_batch_);
-    for (auto& r : f_chunk_) r.resize(n);
-    f_values_.resize(max_batch_ * std::size_t{n});
-    g_values_.resize(max_batch_ * std::size_t{n});
-    chunk_tenants_.resize(max_batch_);
-    // The affine wrapper hands `points` straight through to the device
-    // evaluator, so the routing buffer is indexed absolutely and must
-    // cover any first + count the tracker can produce.
-    inner_tenants_.resize(slot_capacity + max_batch_);
-  }
-
-  [[nodiscard]] unsigned dimension() const noexcept { return f_.dimension(); }
-  [[nodiscard]] std::size_t max_batch() const noexcept { return max_batch_; }
-
-  void set_tenant(unsigned tenant, const poly::PolynomialSystem& target,
-                  const poly::PolynomialSystem& start_system,
-                  cplx::Complex<double> gamma) {
-    if (tenant >= tenants_.size())
-      throw std::invalid_argument("MultiTenantAffineHomotopy: bad tenant");
-    f_.set_tenant(tenant, target);
-    tenants_[tenant].emplace(start_system, gamma);
-  }
-
-  void clear_tenant(unsigned tenant) {
-    if (tenant < tenants_.size()) tenants_[tenant].reset();
-    f_.clear_tenant(tenant);
-  }
-
-  void assign_slot(std::size_t slot, unsigned tenant) {
-    if (slot >= slot_tenant_.size())
-      throw std::invalid_argument("MultiTenantAffineHomotopy: bad slot");
-    if (tenant >= tenants_.size() || !tenants_[tenant])
-      throw std::invalid_argument(
-          "MultiTenantAffineHomotopy: slot bound to absent tenant");
-    slot_tenant_[slot] = tenant;
-  }
-
-  void bind_slots(std::span<const std::size_t> ids) { bound_ = ids; }
-
-  /// BatchedHomotopy::evaluate_range with per-slot tenant g and gamma.
-  void evaluate_range(const std::vector<std::vector<C>>& points,
-                      std::span<const C> ts, std::size_t first,
-                      std::size_t count, std::span<C> values,
-                      std::span<C> jacobians) {
-    const unsigned n = dimension();
-    const std::size_t nn = std::size_t{n} * n;
-    if (count > max_batch_ || ts.size() < first + count ||
-        values.size() < count * n || jacobians.size() < count * nn)
-      throw std::invalid_argument("MultiTenantAffineHomotopy: bad batch spans");
-
-    route(first, count);
-    for (std::size_t i = 0; i < count; ++i)
-      chunk_tenants_[i] = inner_tenants_[first + i];
-    f_.bind_tenants(
-        std::span<const unsigned>(inner_tenants_.data(), first + count));
-    f_.evaluate_range(points, first, count,
-                      std::span<poly::EvalResult<S>>(f_chunk_).subspan(0, count));
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t slot = first + i;
-      const Tenant& ten = *tenants_[chunk_tenants_[i]];
-      ten.g.evaluate(std::span<const C>(points[slot]), g_eval_);
-      std::copy(f_chunk_[i].values.begin(), f_chunk_[i].values.end(),
-                f_values_.begin() + i * n);
-      std::copy(g_eval_.values.begin(), g_eval_.values.end(),
-                g_values_.begin() + i * n);
-      const homotopy::detail::GammaBlend<S> blend(ten.gamma, ts[slot]);
-      for (unsigned q = 0; q < n; ++q)
-        values[i * n + q] =
-            blend.combine(g_eval_.values[q], f_chunk_[i].values[q]);
-      for (std::size_t e = 0; e < nn; ++e)
-        jacobians[i * nn + e] =
-            blend.combine(g_eval_.jacobian[e], f_chunk_[i].jacobian[e]);
-    }
-  }
-
-  void evaluate_values_range(const std::vector<std::vector<C>>& points,
-                             std::span<const C> ts, std::size_t first,
-                             std::size_t count, std::span<C> values) {
-    const unsigned n = dimension();
-    if (ts.size() < first + count || values.size() < count * n)
-      throw std::invalid_argument("MultiTenantAffineHomotopy: bad batch spans");
-
-    route(first, count);
-    f_.bind_tenants(
-        std::span<const unsigned>(inner_tenants_.data(), first + count));
-    for (std::size_t c0 = 0; c0 < count; c0 += max_batch_) {
-      const std::size_t cnt = std::min(max_batch_, count - c0);
-      f_.evaluate_values_range(points, first + c0, cnt,
-                               std::span<C>(values).subspan(c0 * n, cnt * n));
-      for (std::size_t i = 0; i < cnt; ++i) {
-        const std::size_t slot = c0 + i;
-        const Tenant& ten = *tenants_[inner_tenants_[first + slot]];
-        ten.g.evaluate_values(std::span<const C>(points[first + slot]),
-                              std::span<C>(g_vals_));
-        const homotopy::detail::GammaBlend<S> blend(ten.gamma,
-                                                    ts[first + slot]);
-        for (unsigned q = 0; q < n; ++q)
-          values[slot * n + q] = blend.combine(g_vals_[q], values[slot * n + q]);
-      }
-    }
-  }
-
-  void rhs_from_last(std::size_t i, std::span<C> out) const {
-    const unsigned n = dimension();
-    const C gamma = tenants_[chunk_tenants_[i]]->gamma;
-    for (unsigned q = 0; q < n; ++q)
-      out[q] = homotopy::detail::davidenko_rhs(gamma, f_values_[i * n + q],
-                                               g_values_[i * n + q]);
-  }
-
- private:
-  static constexpr unsigned kUnassigned = ~0u;
-
-  struct Tenant {
-    Tenant(const poly::PolynomialSystem& start_system,
-           cplx::Complex<double> gamma_in)
-        : g(start_system), gamma(C::from_double(gamma_in)) {}
-
-    ad::CpuEvaluator<S> g;
-    C gamma;
-  };
-
-  /// Fill the absolute-indexed routing buffer for [first, first+count).
-  void route(std::size_t first, std::size_t count) {
-    if (bound_.size() < first + count)
-      throw std::logic_error(
-          "MultiTenantAffineHomotopy: evaluate without bind_slots");
-    if (inner_tenants_.size() < first + count)
-      inner_tenants_.resize(first + count);
-    for (std::size_t i = first; i < first + count; ++i) {
-      const std::size_t slot = bound_[i];
-      if (slot >= slot_tenant_.size() || slot_tenant_[slot] == kUnassigned)
-        throw std::logic_error(
-            "MultiTenantAffineHomotopy: unassigned slot evaluated");
-      inner_tenants_[i] = slot_tenant_[slot];
-    }
-  }
-
-  core::MultiTenantFusedEvaluator<S>& f_;
-  std::size_t max_batch_;
-  std::vector<std::optional<Tenant>> tenants_;
-  std::vector<unsigned> slot_tenant_;
-  std::span<const std::size_t> bound_;
-
-  poly::EvalResult<S> g_eval_;
-  std::vector<C> g_vals_;
-  std::vector<poly::EvalResult<S>> f_chunk_;
-  std::vector<C> f_values_, g_values_;
-  std::vector<unsigned> chunk_tenants_;
-  std::vector<unsigned> inner_tenants_;
 };
 
 }  // namespace polyeval::service

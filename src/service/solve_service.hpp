@@ -270,7 +270,7 @@ class SolveService {
     std::lock_guard<std::mutex> lk(mu_);
     inst_.queue_depth->set(static_cast<double>(queued_.size()));
     std::size_t active = 0;
-    for_each_group([&](auto& g) { active += g.active.size(); });
+    for (const auto& g : groups_) active += g->active.size();
     inst_.active_requests->set(static_cast<double>(active));
     inst_.cache_hits->set(static_cast<double>(cache_.hits()));
     inst_.cache_misses->set(static_cast<double>(cache_.misses()));
@@ -355,10 +355,8 @@ class SolveService {
     friend bool operator==(const GroupKey&, const GroupKey&) = default;
   };
 
-  template <class Homo>
   struct Group {
-    static constexpr bool kProjective =
-        std::is_same_v<Homo, MultiTenantProjectiveHomotopy<S>>;
+    using Homo = MultiTenantProjectiveHomotopy<S>;
 
     struct Shard {
       simt::Device& dev;
@@ -392,7 +390,7 @@ class SolveService {
     };
 
     GroupKey key;
-    std::vector<cplx::Complex<double>> patch_d;  ///< projective only
+    std::vector<cplx::Complex<double>> patch_d;  ///< the group's patch
     std::vector<C> patch_s;
     std::vector<std::unique_ptr<Shard>> shards;
     /// Placement weights by shard index (fastest == 1.0): measured via
@@ -409,9 +407,6 @@ class SolveService {
       return false;
     }
   };
-
-  using ProjGroup = Group<MultiTenantProjectiveHomotopy<S>>;
-  using AffGroup = Group<MultiTenantAffineHomotopy<S>>;
 
   // ----- admission --------------------------------------------------
 
@@ -541,29 +536,21 @@ class SolveService {
                            stats_.total_modeled_us, obs::TraceLevel::kRounds);
     activate_queued();
     process_cancellations();
-    for_each_group([&](auto& g) { fill_slots(g); });
-    for_each_group([&](auto& g) { steal(g); });
+    for (auto& g : groups_) fill_slots(*g);
+    for (auto& g : groups_) steal(*g);
     run_rounds();
     settle_tick();
-    for_each_group([&](auto& g) { drain_retirements(g); });
-    for_each_group([&](auto& g) { finalize_done(g); });
+    for (auto& g : groups_) drain_retirements(*g);
+    for (auto& g : groups_) finalize_done(*g);
     tracer_.end_span(tick_span, stats_.total_modeled_us);
     const bool more = work_remaining_locked();
     cv_.notify_all();
     return more;
   }
 
-  template <class Fn>
-  void for_each_group(Fn&& fn) {
-    for (auto& g : proj_groups_) fn(*g);
-    for (auto& g : aff_groups_) fn(*g);
-  }
-
   [[nodiscard]] bool work_remaining_locked() const {
     if (!queued_.empty()) return true;
-    for (const auto& g : proj_groups_)
-      if (!g->active.empty()) return true;
-    for (const auto& g : aff_groups_)
+    for (const auto& g : groups_)
       if (!g->active.empty()) return true;
     return false;
   }
@@ -578,21 +565,15 @@ class SolveService {
         it = queued_.erase(it);
         continue;
       }
-      const bool activated =
-          it->state->request.options.tracking.geometry ==
-                  solve::Geometry::kProjective
-              ? try_activate(proj_groups_, *it)
-              : try_activate(aff_groups_, *it);
-      it = activated ? queued_.erase(it) : std::next(it);
+      it = try_activate(*it) ? queued_.erase(it) : std::next(it);
     }
   }
 
-  template <class GroupVec>
-  bool try_activate(GroupVec& groups, QueuedItem& item) {
+  bool try_activate(QueuedItem& item) {
     auto& req = item.state->request;
     GroupKey key{item.entry->packed.structure, req.options.tracking,
                  req.options.tuning};
-    auto* group = find_or_create(groups, key, *item.entry);
+    Group* group = find_or_create(key, *item.entry);
     if (group->free_tenants.empty()) return false;  // stays queued
     const unsigned tenant = group->free_tenants.back();
     group->free_tenants.pop_back();
@@ -632,21 +613,17 @@ class SolveService {
     return true;
   }
 
-  template <class GroupVec>
-  auto* find_or_create(GroupVec& groups, const GroupKey& key,
-                       const typename SystemCache<S>::Entry& entry) {
-    for (auto& g : groups)
+  Group* find_or_create(const GroupKey& key,
+                        const typename SystemCache<S>::Entry& entry) {
+    for (auto& g : groups_)
       if (g->key == key) return g.get();
-    using G = typename GroupVec::value_type::element_type;
-    auto group = std::make_unique<G>();
+    auto group = std::make_unique<Group>();
     group->key = key;
-    if constexpr (G::kProjective) {
-      group->patch_d = homotopy::random_patch(key.structure.n + 1,
-                                              key.tracking.patch_seed);
-      group->patch_s.reserve(group->patch_d.size());
-      for (const auto& c : group->patch_d)
-        group->patch_s.push_back(C::from_double(c));
-    }
+    group->patch_d = homotopy::random_patch(key.structure.n + 1,
+                                            key.tracking.patch_seed);
+    group->patch_s.reserve(group->patch_d.size());
+    for (const auto& c : group->patch_d)
+      group->patch_s.push_back(C::from_double(c));
     group->shards.reserve(registry_.size());
     for (unsigned i = 0; i < registry_.size(); ++i) {
       // Each shard pins the geometry the cache resolved for ITS spec --
@@ -660,7 +637,7 @@ class SolveService {
                              : (geom != nullptr ? geom->block : 0);
       if (geom != nullptr) eopts.interchange = geom->interchange;
       eopts.detect_races = key.tuning.detect_races;
-      group->shards.push_back(std::make_unique<typename G::Shard>(
+      group->shards.push_back(std::make_unique<typename Group::Shard>(
           registry_.device(i), i, key.structure, config_.max_tenants,
           config_.lockstep_batch, eopts, key.tracking.track,
           config_.slots_per_shard));
@@ -670,14 +647,12 @@ class SolveService {
     // 1/us weights; otherwise (heuristic tuning) the modeled estimate.
     group->weights = registry_.weights();
     if (registry_.heterogeneous()) {
-      const unsigned width = static_cast<unsigned>(sizeof(S) / sizeof(double));
       const auto measured = tune::measured_fleet_weights(
           tune::Autotuner::global(),
           std::span<const simt::DeviceSpec>(fleet_spec_list_),
           [&](const simt::DeviceSpec& spec) {
-            return tune::TuneKey::make(tune::TunedSchedule::kFused,
-                                       key.structure, config_.lockstep_batch,
-                                       0, width, spec);
+            return core::FusedGpuEvaluator<S>::tune_key(
+                key.structure, config_.lockstep_batch, spec);
           });
       if (measured.has_value()) group->weights = *measured;
     }
@@ -689,29 +664,23 @@ class SolveService {
     // shard rounds compose.
     for (auto& shard : group->shards)
       shard->tracker.set_metrics(&tracker_metrics_);
-    groups.push_back(std::move(group));
-    return groups.back().get();
+    groups_.push_back(std::move(group));
+    return groups_.back().get();
   }
 
   /// Register the tenant's tables on EVERY shard of the group, so path
   /// trajectories are shard-independent and stealing stays parity-safe.
-  template <class G>
-  void install_tenant(G& group, unsigned tenant,
+  void install_tenant(Group& group, unsigned tenant,
                       const poly::PolynomialSystem& target,
                       const poly::PolynomialSystem& start_system,
                       cplx::Complex<double> gamma) {
-    for (auto& shard : group.shards) {
-      if constexpr (G::kProjective)
-        shard->homo.set_tenant(tenant, target, start_system, gamma,
-                               std::span<const cplx::Complex<double>>(
-                                   group.patch_d));
-      else
-        shard->homo.set_tenant(tenant, target, start_system, gamma);
-    }
+    for (auto& shard : group.shards)
+      shard->homo.set_tenant(tenant, target, start_system, gamma,
+                             std::span<const cplx::Complex<double>>(
+                                 group.patch_d));
   }
 
-  template <class G>
-  std::vector<C> start_point(const G& group, const SolveRequest<S>& req,
+  std::vector<C> start_point(const Group& group, const SolveRequest<S>& req,
                              const typename SystemCache<S>::Entry& entry,
                              std::uint64_t path) const {
     std::vector<C> affine;
@@ -722,11 +691,8 @@ class SolveService {
       affine.reserve(root_d.size());
       for (const auto& z : root_d) affine.push_back(C::from_double(z));
     }
-    if constexpr (G::kProjective)
-      return homotopy::embed_in_patch<S>(std::span<const C>(affine),
-                                         std::span<const C>(group.patch_s));
-    else
-      return affine;
+    return homotopy::embed_in_patch<S>(std::span<const C>(affine),
+                                       std::span<const C>(group.patch_s));
   }
 
   void finalize_cancelled_in_queue(QueuedItem& item) {
@@ -748,8 +714,8 @@ class SolveService {
   /// consume point, costing no launches) and unstarted paths are
   /// synthesized as kCancelled right here.
   void process_cancellations() {
-    for_each_group([&](auto& g) {
-      for (auto& run : g.active) {
+    for (auto& g : groups_) {
+      for (auto& run : g->active) {
         if (run->cancelling) continue;
         const auto& req = run->state->request;
         const bool wants =
@@ -770,12 +736,12 @@ class SolveService {
           run->state->paths_retired.fetch_add(1, std::memory_order_relaxed);
         }
         run->pending_paths.clear();
-        for (auto& shard : g.shards)
+        for (auto& shard : g->shards)
           for (std::size_t slot = 0; slot < shard->owners.size(); ++slot)
             if (shard->owners[slot].run == run.get())
               shard->tracker.cancel(slot);
       }
-    });
+    }
   }
 
   /// The shard the next pulled path should land on.  Uniform fleets
@@ -783,15 +749,13 @@ class SolveService {
   /// shard 0 packs before shard 1 touches work); mixed fleets pick the
   /// free-slotted shard with the lowest occupancy-per-weight, so a 2x
   /// device ends up carrying twice the live paths.
-  template <class G>
-  [[nodiscard]] auto* pick_fill_shard(G& g) {
-    using Shard = typename G::Shard;
+  [[nodiscard]] typename Group::Shard* pick_fill_shard(Group& g) {
     if (!registry_.heterogeneous()) {
       for (auto& s : g.shards)
         if (!s->free_slots.empty()) return s.get();
-      return static_cast<Shard*>(nullptr);
+      return nullptr;
     }
-    Shard* best = nullptr;
+    typename Group::Shard* best = nullptr;
     double best_score = 0.0;
     for (unsigned i = 0; i < g.shards.size(); ++i) {
       auto& s = g.shards[i];
@@ -808,8 +772,7 @@ class SolveService {
 
   /// Move up to `limit` of `run`'s pending paths into free tracker
   /// slots; returns how many were placed.
-  template <class G>
-  std::uint64_t place_pending(G& g, RunInfo& run, std::uint64_t limit) {
+  std::uint64_t place_pending(Group& g, RunInfo& run, std::uint64_t limit) {
     std::uint64_t placed = 0;
     while (placed < limit && !run.pending_paths.empty()) {
       auto* shard = pick_fill_shard(g);
@@ -830,8 +793,7 @@ class SolveService {
     return placed;
   }
 
-  template <class G>
-  void fill_slots(G& g) {
+  void fill_slots(Group& g) {
     if (g.active.empty()) return;
     if (config_.fairness == 0) {
       // FIFO: drain runs in activation order -- byte-for-byte the old
@@ -871,8 +833,7 @@ class SolveService {
   /// idle + 2 <= busy), on a mixed fleet a slow shard counts as "busy"
   /// with fewer paths.  Termination: each move strictly decreases
   /// sum(live^2 / weight), so the loop cannot ping-pong.
-  template <class G>
-  void steal(G& g) {
+  void steal(Group& g) {
     if (g.has_pending() || g.shards.size() < 2) return;
     std::vector<C> x(g.shards.front()->tracker.dimension());
     const auto load = [&](const auto& s, unsigned i) {
@@ -988,10 +949,10 @@ class SolveService {
         dev.clear_log();
       };
       settle();  // tenant installs / evaluator builds since last tick
-      const auto round_shard = [&](auto& g) {
-        auto& shard = *g.shards[d];
+      for (auto& g : groups_) {
+        auto& shard = *g->shards[d];
         shard.rounded = false;
-        if (shard.live == 0) return;
+        if (shard.live == 0) continue;
         const double round_start = stats_.total_modeled_us + charge;
         shard.tracker.round();
         shard.rounded = true;
@@ -1000,9 +961,7 @@ class SolveService {
           tracer_.add_device_slice(d, obs::Tracer::DeviceSlice::kRound,
                                    "shard round", round_start,
                                    stats_.total_modeled_us + charge, 0);
-      };
-      for (auto& g : proj_groups_) round_shard(*g);
-      for (auto& g : aff_groups_) round_shard(*g);
+      }
     };
     if (pool_ && registry_.size() > 1) {
       pool_->parallel_for(registry_.size(), device_tick);
@@ -1033,9 +992,9 @@ class SolveService {
 
     for (unsigned d = 0; d < registry_.size(); ++d) {
       scratch_device_runs_.clear();
-      for_each_group([&](auto& g) {
-        auto& shard = *g.shards[d];
-        if (!shard.rounded) return;
+      for (auto& g : groups_) {
+        auto& shard = *g->shards[d];
+        if (!shard.rounded) continue;
         ++stats_.shard_rounds;
         inst_.shard_rounds->inc();
         scratch_round_runs_.clear();
@@ -1064,7 +1023,7 @@ class SolveService {
                         rp) == scratch_device_runs_.end())
             scratch_device_runs_.push_back(rp);
         }
-      });
+      }
       if (!scratch_device_runs_.empty()) {
         const double share =
             device_charge_[d] / static_cast<double>(scratch_device_runs_.size());
@@ -1073,13 +1032,11 @@ class SolveService {
       }
     }
 
-    for_each_group([&](auto& g) {
-      for (auto& run : g.active) ++run->ticks_tracking;
-    });
+    for (auto& g : groups_)
+      for (auto& run : g->active) ++run->ticks_tracking;
   }
 
-  template <class G>
-  void drain_retirements(G& g) {
+  void drain_retirements(Group& g) {
     for (auto& shard : g.shards) {
       if (shard->live == 0) continue;
       for (std::size_t slot = 0; slot < shard->owners.size(); ++slot) {
@@ -1096,8 +1053,7 @@ class SolveService {
     }
   }
 
-  template <class G>
-  void finalize_done(G& g) {
+  void finalize_done(Group& g) {
     for (auto it = g.active.begin(); it != g.active.end();) {
       RunInfo& run = **it;
       if (run.retired < run.total) {
@@ -1302,8 +1258,7 @@ class SolveService {
 
   SystemCache<S> cache_;
   std::deque<QueuedItem> queued_;
-  std::vector<std::unique_ptr<ProjGroup>> proj_groups_;
-  std::vector<std::unique_ptr<AffGroup>> aff_groups_;
+  std::vector<std::unique_ptr<Group>> groups_;
 
   std::vector<double> device_charge_;
   std::vector<double> device_busy_us_;  ///< summed charges per device

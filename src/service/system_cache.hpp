@@ -13,8 +13,8 @@
 /// packed tables field-by-field inside the bucket, so a colliding hash
 /// (tests inject a constant one) can never alias two different systems
 /// into one entry -- it only makes lookups slower.  The resolved tune
-/// geometry comes from constructing one scratch single-tenant
-/// FusedGpuEvaluator, whose constructor resolves through
+/// geometry comes from FusedGpuEvaluator::resolve_options, the same
+/// resolution a single-tenant evaluator's constructor runs through
 /// tune::Autotuner::global(): the first request with a structure pays
 /// the measured probe, every later one is a TuneCache hit
 /// (Autotuner::global().hits() observes the reuse across requests).
@@ -153,22 +153,20 @@ class SystemCache {
 
  private:
   /// Resolve geometry for every spec in `specs` the entry does not
-  /// already cover, one scratch single-tenant evaluator per DISTINCT
-  /// uncovered spec -- probed on a device of that spec, so no shard
-  /// inherits another geometry's winner.  Later same-structure
-  /// constructions (and every multi-tenant evaluator pinned from this
-  /// entry) skip the probe.
+  /// already cover, once per DISTINCT uncovered spec -- probed on
+  /// scratch devices of that spec, so no shard inherits another
+  /// geometry's winner.  Later same-structure constructions (and every
+  /// multi-tenant evaluator pinned from this entry) skip the probe.
   static void resolve_missing(Entry& entry, unsigned capacity,
                               tune::TuningMode mode,
                               std::span<const simt::DeviceSpec> specs) {
     for (const auto& spec : specs) {
       if (entry.geometry_for(spec) != nullptr) continue;  // covered (dedups too)
-      simt::Device probe(spec);  // scratch: the measured probe builds its own anyway
       typename core::FusedGpuEvaluator<S>::Options opts;
       opts.tuning = mode;
-      core::FusedGpuEvaluator<S> scratch(probe, entry.system, capacity, opts);
-      entry.geometries.push_back(
-          {spec, scratch.options().block_size, scratch.options().interchange});
+      const auto resolved = core::FusedGpuEvaluator<S>::resolve_options(
+          spec, entry.system, capacity, opts);
+      entry.geometries.push_back({spec, resolved.block_size, resolved.interchange});
     }
     entry.tuned_capacity = capacity;
     entry.tuned_mode = mode;

@@ -2,7 +2,7 @@
 
 /// \file options.hpp
 /// The ONE composable option surface of the solver stack.  Every knob
-/// of a solve -- tracking geometry and step control, evaluator
+/// of a solve -- step control and the projective patch, evaluator
 /// geometry pins and tuning mode, shard fan-out and batching -- has
 /// exactly one spelling here, grouped into nested Tracking / Tuning /
 /// Sharding sections with validated defaults.  The solve service and
@@ -17,25 +17,15 @@
 
 namespace polyeval::solve {
 
-/// Tracking geometry.
-enum class Geometry {
-  /// Patched homogeneous coordinates with at-infinity classification
-  /// and the Cauchy endgame: every path terminates classified.
-  kProjective,
-  /// The historical affine tracker: paths to infinity stall.  Kept for
-  /// parity testing.
-  kAffine,
-};
-
 using TuningMode = tune::TuningMode;
 
 struct Options {
-  /// Path-tracking section: the predictor-corrector/step-control knobs
-  /// plus the coordinate geometry they run in.
+  /// Path-tracking section: the predictor-corrector/step-control knobs.
+  /// Paths are tracked in patched homogeneous coordinates, so every
+  /// path terminates classified (finite or at infinity).
   struct Tracking {
     homotopy::TrackOptions track;
-    Geometry geometry = Geometry::kProjective;
-    /// Seed of the random patch hyperplane (projective geometry).
+    /// Seed of the random patch hyperplane.
     std::uint64_t patch_seed = 20120717;
 
     friend bool operator==(const Tracking&, const Tracking&) = default;

@@ -4,13 +4,13 @@
 // solve service against, built directly from library parts:
 //
 //   * track_perpath: the scalar PathTracker, one path at a time, over a
-//     capacity-1 FusedGpuEvaluator (ProjectiveHomotopy in projective
-//     geometry, the affine gamma Homotopy otherwise);
-//   * track_lockstep: a BatchPathTracker over the pipelined evaluator
-//     (BatchedProjectiveHomotopy<PipelinedFusedEvaluator> in projective
-//     geometry), an engine the service never runs.
+//     ProjectiveHomotopy on a capacity-1 FusedGpuEvaluator;
+//   * track_lockstep: a BatchPathTracker over
+//     BatchedProjectiveHomotopy<PipelinedFusedEvaluator>, an engine the
+//     service never runs.
 //
-// Both run every path on one device; a path's trajectory is independent
+// Both track in the service's projective geometry (same patch seed) and
+// run every path on one device; a path's trajectory is independent
 // of how paths are placed, so their results must match the service
 // bitwise.  The *_total_degree variants track the first
 // options.sharding.max_paths total-degree paths (all when 0) with
@@ -20,7 +20,6 @@
 #include <span>
 #include <vector>
 
-#include "ad/cpu_evaluator.hpp"
 #include "core/fused_evaluator.hpp"
 #include "core/pipelined_evaluator.hpp"
 #include "homotopy/batch_tracker.hpp"
@@ -75,20 +74,12 @@ homotopy::SolveSummary<S> track_perpath(const poly::PolynomialSystem& target,
   const auto& topt = options.tracking.track;
 
   homotopy::SolveSummary<S> summary;
-  if (options.tracking.geometry == solve::Geometry::kProjective) {
-    const auto patch =
-        homotopy::random_patch(target.dimension() + 1, options.tracking.patch_seed);
-    homotopy::ProjectiveHomotopy<S, F> h(f, target, start_system, gamma, patch);
-    homotopy::PathTracker<S, homotopy::ProjectiveHomotopy<S, F>> tracker(h, topt);
-    for (const auto& z : embed_all<S>(roots, patch))
-      summary.paths.push_back(tracker.track(std::span<const cplx::Complex<S>>(z)));
-  } else {
-    ad::CpuEvaluator<S> g(start_system);
-    homotopy::Homotopy<S, F, ad::CpuEvaluator<S>> h(f, g, gamma);
-    homotopy::PathTracker<S, F, ad::CpuEvaluator<S>> tracker(h, topt);
-    for (const auto& x : roots)
-      summary.paths.push_back(tracker.track(std::span<const cplx::Complex<S>>(x)));
-  }
+  const auto patch =
+      homotopy::random_patch(target.dimension() + 1, options.tracking.patch_seed);
+  homotopy::ProjectiveHomotopy<S, F> h(f, target, start_system, gamma, patch);
+  homotopy::PathTracker<S, homotopy::ProjectiveHomotopy<S, F>> tracker(h, topt);
+  for (const auto& z : embed_all<S>(roots, patch))
+    summary.paths.push_back(tracker.track(std::span<const cplx::Complex<S>>(z)));
   tally(summary);
   return summary;
 }
@@ -116,24 +107,15 @@ homotopy::SolveSummary<S> track_lockstep(const poly::PolynomialSystem& target,
        .detect_races = options.tuning.detect_races});
   const auto& topt = options.tracking.track;
 
-  const auto run = [&](auto& tracker, const Roots<S>& starts) {
-    tracker.start(starts, 0, starts.size());
-    tracker.run();
-    for (std::size_t p = 0; p < starts.size(); ++p)
-      summary.paths.push_back(tracker.result(p));
-  };
-  if (options.tracking.geometry == solve::Geometry::kProjective) {
-    const auto patch =
-        homotopy::random_patch(target.dimension() + 1, options.tracking.patch_seed);
-    homotopy::BatchedProjectiveHomotopy<S, F> h(f, target, start_system, gamma, patch);
-    homotopy::BatchPathTracker<S, homotopy::BatchedProjectiveHomotopy<S, F>> tracker(
-        device, h, topt, roots.size());
-    run(tracker, embed_all<S>(roots, patch));
-  } else {
-    ad::CpuEvaluator<S> g(start_system);
-    homotopy::BatchPathTracker<S, F> tracker(device, f, g, gamma, topt, roots.size());
-    run(tracker, roots);
-  }
+  const auto patch =
+      homotopy::random_patch(target.dimension() + 1, options.tracking.patch_seed);
+  homotopy::BatchedProjectiveHomotopy<S, F> h(f, target, start_system, gamma, patch);
+  homotopy::BatchPathTracker<S, homotopy::BatchedProjectiveHomotopy<S, F>> tracker(
+      device, h, topt, roots.size());
+  tracker.start(embed_all<S>(roots, patch), 0, roots.size());
+  tracker.run();
+  for (std::size_t p = 0; p < roots.size(); ++p)
+    summary.paths.push_back(tracker.result(p));
   tally(summary);
   return summary;
 }

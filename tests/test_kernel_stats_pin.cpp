@@ -82,12 +82,12 @@ constexpr Pin kThreeKernelPins[] = {
      64, 0, 1, 8, 1, 1, 384},
     {"values_only", 2, 64, 2, 240, 0, 5, 0, 6, 14, 2, 12, 1792, 768, 10, 10, 192,
      64, 0, 1, 8, 1, 1, 128},
-    {"values_summation", 1, 32, 1, 0, 40, 0, 5, 6, 6, 1, 1, 768, 128, 0, 0, 0, 24,
+    {"values_sum", 1, 32, 1, 0, 40, 0, 5, 6, 6, 1, 1, 768, 128, 0, 0, 0, 24,
      0, 1, 8, 1, 1, 0},
     // The separate-powers ablation's evaluate.
     {"powers_global", 1, 32, 1, 8, 0, 1, 0, 1, 1, 3, 3, 128, 384, 0, 0, 0, 24, 0, 1,
      8, 1, 1, 0},
-    {"common_factors_global", 2, 64, 2, 144, 0, 3, 0, 8, 24, 2, 6, 3072, 768, 0, 0,
+    {"cfactors_global", 2, 64, 2, 144, 0, 3, 0, 8, 24, 2, 6, 3072, 768, 0, 0,
      384, 16, 0, 1, 8, 1, 1, 0},
     {"speelpenning", 2, 64, 2, 768, 0, 16, 0, 14, 38, 10, 129, 4864, 3840, 86, 226,
      192, 64, 0, 1, 8, 1, 1, 2688},

@@ -84,24 +84,6 @@ TEST(ShardedTracker, EveryPathClassifiedInProjectiveMode) {
     EXPECT_TRUE(p.classified()) << "status " << static_cast<int>(p.status);
 }
 
-TEST(ShardedTracker, AffineEscapeHatchStillStalls) {
-  // The affine geometry stays behind the enum with its historical
-  // behavior: solutions are affine points and divergent paths stall.
-  const auto sys = uniform_target();
-  auto opt = base_options(2);
-  opt.tracking.geometry = solve::Geometry::kAffine;
-  const auto summary = homotopy::solve_total_degree_sharded<double>(sys, opt);
-  EXPECT_GE(summary.successes, 1u);
-  EXPECT_EQ(summary.at_infinity, 0u);
-  for (const auto& p : summary.paths) {
-    ASSERT_EQ(p.solution.size(), 3u);
-    if (!p.success) {
-      EXPECT_TRUE(p.status == homotopy::PathStatus::kStalled ||
-                  p.status == homotopy::PathStatus::kDiverged);
-    }
-  }
-}
-
 TEST(ShardedTracker, ExplicitStartRootsLandInOrder) {
   // track_paths_sharded with hand-picked start roots: result i must
   // correspond to root i (deterministic merge), independent of shards.

@@ -15,7 +15,6 @@ using namespace polyeval;
 TEST(SolveOptions, DefaultsValidate) {
   const solve::Options opt;
   EXPECT_NO_THROW(opt.validate());
-  EXPECT_EQ(opt.tracking.geometry, solve::Geometry::kProjective);
   EXPECT_EQ(opt.tuning.mode, solve::TuningMode::kMeasured);
 }
 

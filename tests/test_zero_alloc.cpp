@@ -14,6 +14,7 @@
 
 #include "core/batch_evaluator.hpp"
 #include "core/fused_evaluator.hpp"
+#include "core/gpu_evaluator.hpp"
 #include "core/multitenant_evaluator.hpp"
 #include "core/pipelined_evaluator.hpp"
 #include "core/sharded_evaluator.hpp"
@@ -90,6 +91,42 @@ TEST(ZeroAlloc, ParallelForDoesNotAllocatePerIndex) {
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << "parallel_for allocated " << (after - before) << " times for 200k indices";
+}
+
+TEST(ZeroAlloc, GpuEvaluatorSteadyState) {
+  // The paper's single-point three-kernel pipeline, full and values-only
+  // passes, under both powers strategies.  Every kernel name fits the
+  // string's inline buffer, so copying KernelStats into the device log
+  // and last_log() stays off the heap.
+  using G = core::GpuEvaluator<double>;
+  const auto sys = make_system(8, 6, 4, 3);
+  const auto x = poly::make_random_point<double>(8, 77);
+  for (const auto powers :
+       {G::PowersStrategy::kPerBlockShared, G::PowersStrategy::kSeparateKernel}) {
+    simt::Device device;
+    G::Options opt;
+    opt.powers = powers;
+    G gpu(device, sys, opt);
+    poly::EvalResult<double> result(8);
+    std::vector<Cd> values(8);
+    const auto call = [&] {
+      device.clear_log();
+      gpu.evaluate(std::span<const Cd>(x), result);
+      device.clear_log();
+      gpu.evaluate_values(std::span<const Cd>(x), std::span<Cd>(values));
+    };
+
+    for (int i = 0; i < 3; ++i) call();
+
+    const std::uint64_t before = g_allocations.load();
+    for (int i = 0; i < 10; ++i) call();
+    const std::uint64_t after = g_allocations.load();
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state GpuEvaluator evaluate + evaluate_values allocated "
+        << (after - before) << " times over 10 calls (powers "
+        << (powers == G::PowersStrategy::kSeparateKernel ? "separate" : "shared")
+        << ")";
+  }
 }
 
 TEST(ZeroAlloc, BatchEvaluatorSteadyStateEvaluate) {
