@@ -111,6 +111,19 @@ class MultiTenantFusedEvaluator {
     staged_tenants_.resize(capacity_);
   }
 
+  /// Constant-memory bytes the tenant tables take: positions and kChar
+  /// exponents of `max_tenants` systems of `structure`.  The service's
+  /// admission rejects a structure whose tables exceed a device's
+  /// constant budget, since the constructor would throw
+  /// simt::ConstantMemoryOverflow from inside a service tick.
+  [[nodiscard]] static std::uint64_t constant_bytes(
+      const poly::UniformStructure& structure, unsigned max_tenants) {
+    return std::uint64_t{max_tenants} *
+           constant_bytes_required(ExponentEncoding::kChar,
+                                   SystemLayout(structure).total_monomials(),
+                                   structure.k);
+  }
+
   [[nodiscard]] unsigned dimension() const noexcept {
     return layout_.structure().n;
   }

@@ -434,7 +434,8 @@ class SolveService {
   }
 
   /// Pre-activation screening under the lock: validates options,
-  /// resolves the system cache entry (packing + total-degree start +
+  /// checks that the group's tenant tables fit every device's constant
+  /// memory, resolves the system cache entry (packing + total-degree start +
   /// tuned geometry, shared across requests), counts paths, and applies
   /// the queue and path budgets.
   AdmissionVerdict screen(State& state, QueuedItem& item) {
@@ -444,13 +445,24 @@ class SolveService {
     } catch (const std::invalid_argument&) {
       return AdmissionVerdict::kInvalid;
     }
+    // Every shard of the request's group holds max_tenants copies of the
+    // system's tables in constant memory; a structure that cannot fit is
+    // rejected here, before the group's construction throws in a tick.
+    const auto structure = req.target.uniform_structure();
+    if (!structure) return AdmissionVerdict::kInvalid;  // non-uniform system
+    const std::uint64_t table_bytes =
+        core::MultiTenantFusedEvaluator<S>::constant_bytes(*structure,
+                                                           config_.max_tenants);
+    for (const auto& spec : fleet_spec_list_)
+      if (table_bytes > spec.constant_memory_bytes - spec.constant_reserved_bytes)
+        return AdmissionVerdict::kInvalid;
     const std::size_t misses_before = cache_.misses();
     try {
       item.entry = cache_.lookup(
           req.target, config_.lockstep_batch, req.options.tuning.mode,
           std::span<const simt::DeviceSpec>(fleet_spec_list_));
     } catch (const std::exception&) {
-      return AdmissionVerdict::kInvalid;  // non-uniform / degenerate system
+      return AdmissionVerdict::kInvalid;  // degenerate system
     }
     if (config_.audit_new_systems && cache_.misses() != misses_before)
       audit_new_entry(*item.entry);

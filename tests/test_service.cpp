@@ -301,6 +301,49 @@ TEST(SolveService, AdmissionControlVerdicts) {
     svc.drain();  // the admitted one still completes
     EXPECT_TRUE(t1.done());
   }
+
+  // Constant memory.  Every shard of a group keeps max_tenants copies of
+  // a structure's positions and exponents there; admitted, a structure
+  // that cannot fit would throw simt::ConstantMemoryOverflow from inside
+  // drain() and stop every other tenant.  Heuristic tuning builds no
+  // evaluator while screening, so the explicit check is all that stops it.
+  const auto wide = [](unsigned m) {
+    poly::SystemSpec spec;
+    spec.dimension = 32;
+    spec.monomials_per_polynomial = m;
+    spec.variables_per_monomial = 16;
+    spec.max_exponent = 10;
+    spec.seed = 7;
+    return poly::make_random_system(spec);
+  };
+  auto heuristic = small_options(1);
+  heuristic.tuning.mode = tune::TuningMode::kHeuristic;
+  {  // The paper's 2048 monomials: 2 x 32768 B exceed 64512 B for one tenant.
+    service::SolveService<double> svc;
+    auto t = svc.submit({wide(64), heuristic, {}, 0, 0.0});
+    EXPECT_EQ(t.verdict(), service::AdmissionVerdict::kInvalid);
+    EXPECT_EQ(svc.stats().rejected_invalid, 1u);
+    auto ok = svc.submit({sys, small_options(2), {}, 0, 0.0});
+    EXPECT_NO_THROW(svc.drain());
+    EXPECT_TRUE(ok.done());
+  }
+  {  // 1280 monomials: one tenant's 2 x 20480 B fit, two tenants' do not.
+    const auto sys1280 = wide(40);
+    service::SolveService<double>::Config two;
+    two.max_tenants = 2;
+    service::SolveService<double> svc2(std::move(two));
+    EXPECT_EQ(svc2.submit({sys1280, heuristic, {}, 0, 0.0}).verdict(),
+              service::AdmissionVerdict::kInvalid);
+
+    service::SolveService<double>::Config one;
+    one.max_tenants = 1;
+    service::SolveService<double> svc1(std::move(one));
+    auto t = svc1.submit({sys1280, heuristic, {}, 0, 0.0});
+    EXPECT_TRUE(t.admitted());
+    t.cancel();  // retired from the queue: no 32-variable solve
+    EXPECT_NO_THROW(svc1.drain());
+    EXPECT_TRUE(t.done());
+  }
 }
 
 TEST(SolveService, StealsLivePathsIntoIdleShards) {
