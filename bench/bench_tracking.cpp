@@ -4,7 +4,7 @@
 // and the workload the fused one-block-per-point schedule was built
 // for.
 //
-// Every row tracks in the service's PROJECTIVE geometry and reports
+// Every table row tracks in the service's PROJECTIVE geometry and reports
 // solved_frac -- the fraction of paths with a CLASSIFIED endpoint
 // (converged or at infinity); the projective tracker + Cauchy endgame
 // must classify > 90% of the dim-16 double workload (gated, and
@@ -23,9 +23,14 @@
 //     deterministic: the per-path tracker feeds the device one-block
 //     grids (13 of 14 SMs idle, one launch per corrector stage), the
 //     lockstep tracker sends the whole live set per launch.  Each
-//     tracker's per-round launch logs are costed with the timing model;
-//     the >= 2x gate on the dim-16 workload binds in every mode (the
-//     measured ratio is far higher).
+//     tracker's per-round launch logs are costed with the timing model.
+//     Two modeled pairs run the library trackers directly on one
+//     device: the AFFINE pair (BatchedHomotopy vs Homotopy), which
+//     carries the >= 2x gate on the dim-16 workload in every mode, and
+//     the PROJECTIVE pair (BatchedProjectiveHomotopy vs
+//     ProjectiveHomotopy), reported ungated.  Both report points per
+//     fused launch and the fraction of launches that replayed memoized
+//     kernel stats.
 //   * the HOST WALL CLOCK end to end (shards and device workers): the
 //     lockstep mode keeps every device worker busy inside each launch
 //     while the per-path mode leaves them spinning at one block per
@@ -43,6 +48,8 @@
 #include <cstring>
 #include <iostream>
 #include <thread>
+#include <tuple>
+#include <utility>
 
 #include "benchutil/json.hpp"
 #include "benchutil/stamp.hpp"
@@ -143,70 +150,134 @@ ModeRow run_mode(const poly::PolynomialSystem& sys, std::uint64_t paths, Mode mo
   return row;
 }
 
+/// One modeled-clock run: device µs priced by the timing model, plus
+/// the launch shape behind it -- fused launches, the points they
+/// carried (one block per point), and how many replayed memoized
+/// kernel stats instead of running instrumented.
+struct ModeledRun {
+  double us = 0.0;
+  std::uint64_t launches = 0;
+  std::uint64_t points = 0;
+  std::uint64_t replayed = 0;
+
+  /// Fold in the device log of one round (lockstep) or one path
+  /// (per-path).
+  void add(const simt::Device& device) {
+    us += simt::estimate_log_us(device.log(), device.spec(), simt::GpuCostModel{});
+    for (const auto& k : device.log().kernels) {
+      ++launches;
+      points += k.blocks;
+    }
+  }
+  [[nodiscard]] double points_per_launch() const {
+    return launches > 0 ? static_cast<double>(points) / static_cast<double>(launches)
+                        : 0.0;
+  }
+  [[nodiscard]] double replayed_frac() const {
+    return launches > 0
+               ? static_cast<double>(replayed) / static_cast<double>(launches)
+               : 0.0;
+  }
+};
+
+/// The first `paths` total-degree start roots, embedded in `patch` when
+/// it is non-empty (projective tracking).
+std::vector<std::vector<cplx::Complex<double>>> start_roots(
+    const homotopy::TotalDegreeStart& start, std::uint64_t paths,
+    std::span<const cplx::Complex<double>> patch) {
+  std::vector<std::vector<cplx::Complex<double>>> roots;
+  for (std::uint64_t p = 0; p < paths; ++p) {
+    const auto rd = start.start_root(p);
+    std::vector<cplx::Complex<double>> r(rd.begin(), rd.end());
+    roots.push_back(patch.empty() ? std::move(r)
+                                  : homotopy::embed_in_patch<double>(
+                                        std::span<const cplx::Complex<double>>(r),
+                                        patch));
+  }
+  return roots;
+}
+
 /// Modeled device time of the LOCKSTEP tracker: a single-shard direct
 /// run, each round's launch log costed with the timing model (round()
 /// clears the log on entry, so after it returns the log is exactly that
-/// round's launches).
-double modeled_lockstep_us(const poly::PolynomialSystem& sys, std::uint64_t paths) {
-  using Cd = cplx::Complex<double>;
+/// round's launches).  Affine: BatchedHomotopy; projective: the
+/// single-system BatchedProjectiveHomotopy on the solve service's
+/// default patch.
+ModeledRun modeled_lockstep(const poly::PolynomialSystem& sys, std::uint64_t paths,
+                            bool projective) {
+  using F = core::FusedGpuEvaluator<double>;
+  const solve::Options defaults;
   const homotopy::TotalDegreeStart start(sys);
-  const auto gamma = homotopy::random_gamma(20120102);
-  std::vector<std::vector<Cd>> roots;
-  for (std::uint64_t p = 0; p < paths; ++p) {
-    const auto rd = start.start_root(p);
-    std::vector<Cd> r;
-    for (const auto& z : rd) r.push_back(z);
-    roots.push_back(std::move(r));
-  }
-
+  const auto gamma = homotopy::random_gamma(defaults.gamma_seed);
   simt::Device device;
-  core::FusedGpuEvaluator<double> f(device, sys, static_cast<unsigned>(paths));
-  ad::CpuEvaluator<double> g(start.system());
+  F f(device, sys, static_cast<unsigned>(paths));
   homotopy::TrackOptions topt;
   topt.max_steps = 3000;
-  homotopy::BatchPathTracker<double, core::FusedGpuEvaluator<double>> tracker(
-      device, f, g, gamma, topt, paths);
 
-  const simt::GpuCostModel cost;
-  double total = 0.0;
-  tracker.start(roots, 0, roots.size());
-  for (;;) {
-    const std::size_t live = tracker.round();
-    total += simt::estimate_log_us(device.log(), device.spec(), cost);
-    if (live == 0) break;
+  ModeledRun run;
+  const auto track = [&](auto& tracker, const auto& roots) {
+    tracker.start(roots, 0, roots.size());
+    for (;;) {
+      const std::size_t live = tracker.round();
+      run.add(device);
+      if (live == 0) break;
+    }
+  };
+  if (projective) {
+    const auto patch =
+        homotopy::random_patch(sys.dimension() + 1, defaults.tracking.patch_seed);
+    homotopy::BatchedProjectiveHomotopy<double, F> h(f, sys, start.system(), gamma,
+                                                     patch);
+    homotopy::BatchPathTracker<double, homotopy::BatchedProjectiveHomotopy<double, F>>
+        tracker(device, h, topt, paths);
+    track(tracker, start_roots(start, paths, patch));
+  } else {
+    ad::CpuEvaluator<double> g(start.system());
+    homotopy::BatchPathTracker<double, F> tracker(device, f, g, gamma, topt, paths);
+    track(tracker, start_roots(start, paths, {}));
   }
-  return total;
+  run.replayed = device.replayed_launches();
+  return run;
 }
 
 /// Modeled device time of the PER-PATH tracker: the scalar PathTracker
 /// over a capacity-1 fused evaluator, one device log per path.
-double modeled_perpath_us(const poly::PolynomialSystem& sys, std::uint64_t paths) {
-  using Cd = cplx::Complex<double>;
+/// Affine: Homotopy; projective: ProjectiveHomotopy.
+ModeledRun modeled_perpath(const poly::PolynomialSystem& sys, std::uint64_t paths,
+                           bool projective) {
+  using F = core::FusedGpuEvaluator<double>;
+  using G = ad::CpuEvaluator<double>;
+  const solve::Options defaults;
   const homotopy::TotalDegreeStart start(sys);
-  const auto gamma = homotopy::random_gamma(20120102);
-
+  const auto gamma = homotopy::random_gamma(defaults.gamma_seed);
   simt::Device device;
-  core::FusedGpuEvaluator<double> f(device, sys, 1);
-  ad::CpuEvaluator<double> g(start.system());
-  homotopy::Homotopy<double, core::FusedGpuEvaluator<double>, ad::CpuEvaluator<double>>
-      h(f, g, gamma);
+  F f(device, sys, 1);
   homotopy::TrackOptions topt;
   topt.max_steps = 3000;
-  homotopy::PathTracker<double, core::FusedGpuEvaluator<double>,
-                        ad::CpuEvaluator<double>>
-      tracker(h, topt);
 
-  const simt::GpuCostModel cost;
-  double total = 0.0;
-  for (std::uint64_t p = 0; p < paths; ++p) {
-    const auto rd = start.start_root(p);
-    std::vector<Cd> root;
-    for (const auto& z : rd) root.push_back(z);
-    device.clear_log();
-    (void)tracker.track(std::span<const Cd>(root));
-    total += simt::estimate_log_us(device.log(), device.spec(), cost);
+  ModeledRun run;
+  const auto track = [&](auto& tracker, const auto& roots) {
+    for (const auto& root : roots) {
+      device.clear_log();
+      (void)tracker.track(std::span<const cplx::Complex<double>>(root));
+      run.add(device);
+    }
+  };
+  if (projective) {
+    const auto patch =
+        homotopy::random_patch(sys.dimension() + 1, defaults.tracking.patch_seed);
+    homotopy::ProjectiveHomotopy<double, F> h(f, sys, start.system(), gamma, patch);
+    homotopy::PathTracker<double, homotopy::ProjectiveHomotopy<double, F>> tracker(
+        h, topt);
+    track(tracker, start_roots(start, paths, patch));
+  } else {
+    G g(start.system());
+    homotopy::Homotopy<double, F, G> h(f, g, gamma);
+    homotopy::PathTracker<double, F, G> tracker(h, topt);
+    track(tracker, start_roots(start, paths, {}));
   }
-  return total;
+  run.replayed = device.replayed_launches();
+  return run;
 }
 
 }  // namespace
@@ -298,11 +369,20 @@ int main(int argc, char** argv) {
   }
   const double proj_solved_frac = row_proj_lock.solved_frac;
 
-  // Modeled device clock, single shard: deterministic on any host.
-  const double modeled_lock_us = modeled_lockstep_us(sys16, paths_modeled);
-  const double modeled_path_us = modeled_perpath_us(sys16, paths_modeled);
-  const double modeled_speedup =
-      modeled_lock_us > 0.0 ? modeled_path_us / modeled_lock_us : 0.0;
+  // Modeled device clock, single shard: deterministic on any host.  The
+  // >= 2x gate reads the affine pair; the projective pair (the geometry
+  // the service tracks in) is reported beside it, ungated.
+  const ModeledRun lock_aff = modeled_lockstep(sys16, paths_modeled, false);
+  const ModeledRun path_aff = modeled_perpath(sys16, paths_modeled, false);
+  const ModeledRun lock_proj = modeled_lockstep(sys16, paths_modeled, true);
+  const ModeledRun path_proj = modeled_perpath(sys16, paths_modeled, true);
+  const auto ratio = [](const ModeledRun& perpath, const ModeledRun& lockstep) {
+    return lockstep.us > 0.0 ? perpath.us / lockstep.us : 0.0;
+  };
+  const double modeled_lock_us = lock_aff.us;
+  const double modeled_path_us = path_aff.us;
+  const double modeled_speedup = ratio(path_aff, lock_aff);
+  const double modeled_proj_speedup = ratio(path_proj, lock_proj);
 
   // -- extended precision: the quality-up rows ---------------------------
   const std::uint64_t paths_dd = 2;
@@ -357,6 +437,25 @@ int main(int argc, char** argv) {
   json.field("modeled_perpath_us", modeled_path_us);
   json.field("modeled_lockstep_us", modeled_lock_us);
   json.field("modeled_speedup_lockstep_vs_perpath", modeled_speedup);
+  json.field("modeled_projective_perpath_us", path_proj.us);
+  json.field("modeled_projective_lockstep_us", lock_proj.us);
+  json.field("modeled_projective_speedup_lockstep_vs_perpath", modeled_proj_speedup);
+  json.key("modeled_launch_shape");
+  json.begin_array();
+  for (const auto& [geometry, mode, run] :
+       {std::tuple{"affine", "lockstep", &lock_aff},
+        std::tuple{"affine", "perpath", &path_aff},
+        std::tuple{"projective", "lockstep", &lock_proj},
+        std::tuple{"projective", "perpath", &path_proj}})
+    json.begin_object()
+        .field("geometry", geometry)
+        .field("mode", mode)
+        .field("launches", run->launches)
+        .field("points_per_launch", run->points_per_launch())
+        .field("replayed_launches", run->replayed)
+        .field("replayed_launch_frac", run->replayed_frac())
+        .end_object();
+  json.end_array();
   json.field("bitwise_identical_across_modes", bitwise_ok);
   json.field("solved_frac_target", solved_target);
   json.field("projective_solved_frac", proj_solved_frac);
@@ -372,7 +471,18 @@ int main(int argc, char** argv) {
             << " paths, 1 shard: per-path "
             << benchutil::format_fixed(modeled_path_us, 1) << " us -> lockstep "
             << benchutil::format_fixed(modeled_lock_us, 1) << " us ("
-            << benchutil::format_speedup(modeled_speedup) << ")\n";
+            << benchutil::format_speedup(modeled_speedup) << ", gated)\n"
+            << "  projective (ungated): per-path "
+            << benchutil::format_fixed(path_proj.us, 1) << " us -> lockstep "
+            << benchutil::format_fixed(lock_proj.us, 1) << " us ("
+            << benchutil::format_speedup(modeled_proj_speedup) << ")\n";
+  for (const auto& [name, run] :
+       {std::pair{"affine lockstep", &lock_aff}, std::pair{"affine per-path", &path_aff},
+        std::pair{"projective lockstep", &lock_proj},
+        std::pair{"projective per-path", &path_proj}})
+    std::cout << "  " << name << ": " << run->launches << " launches, "
+              << benchutil::format_fixed(run->points_per_launch(), 2)
+              << " points/launch, " << run->replayed << " replayed\n";
 
   const char* out_path = "BENCH_tracking.json";
   if (json.write_file(out_path))

@@ -32,7 +32,8 @@
 /// BatchedHomotopyTag) it tracks whatever that homotopy models -- the
 /// projective patch with renormalization, at-infinity classification
 /// and the lockstep Cauchy endgame when the homotopy provides the
-/// renormalize() hook.
+/// per-slot renormalize(slot, z) / infinity_ratio(slot, z) hooks
+/// (BatchedProjectiveHomotopy).
 ///
 /// Bitwise contract: a path's trajectory is IDENTICAL to
 /// PathTracker::track over the same evaluators and geometry.  Every
@@ -52,7 +53,6 @@
 /// start, the long-running-caller convention).
 
 #include <algorithm>
-#include <limits>
 #include <mutex>
 
 #include "ad/cpu_evaluator.hpp"
@@ -202,13 +202,12 @@ class BatchPathTracker {
 
  private:
   /// Multi-tenant homotopies (the solve service's) need the slot id of
-  /// every staged point to route it to its own system tables...
+  /// every staged point to route it to its own system tables.
   static constexpr bool kSlotAware = newton::SlotAwareEvaluator<Homo>;
-  /// ...and take the slot id in their projective hooks too.
-  static constexpr bool kSlotProjective =
-      requires(Homo& h, std::size_t id, std::span<C> z) { h.renormalize(id, z); };
+  /// Projective homotopies take the slot id in their hooks: each slot
+  /// renormalizes onto its own tenant's patch.
   static constexpr bool kProjective =
-      kSlotProjective || requires(Homo& h, std::span<C> z) { h.renormalize(z); };
+      requires(Homo& h, std::size_t id, std::span<C> z) { h.renormalize(id, z); };
   using HomoMember = std::conditional_t<kExternalHomo, Homo&, Homo>;
 
  public:
@@ -477,8 +476,8 @@ class BatchPathTracker {
           std::copy(corr_pts_[j].begin(), corr_pts_[j].end(), s.x.begin());
           detail::accept_step(s.ctl, t_next_[j], options_);
           if constexpr (kProjective) {
-            renormalize_slot(id, std::span<C>(s.x));
-            if (infinity_ratio_slot(id, std::span<const C>(s.x)) <
+            h_.renormalize(id, std::span<C>(s.x));
+            if (h_.infinity_ratio(id, std::span<const C>(s.x)) <
                 options_.at_infinity_tolerance) {
               retire(s, PathStatus::kAtInfinity, statuses_[j].final_residual);
               continue;
@@ -605,7 +604,7 @@ class BatchPathTracker {
           s.final_residual = statuses_[j].initial_residual;
         }
         if constexpr (kProjective) {
-          if (infinity_ratio_slot(end_ids_[j], std::span<const C>(s.x)) <
+          if (h_.infinity_ratio(end_ids_[j], std::span<const C>(s.x)) <
               options_.at_infinity_tolerance) {
             retire(s, PathStatus::kAtInfinity, s.final_residual);
             continue;
@@ -727,26 +726,6 @@ class BatchPathTracker {
     if constexpr (kSlotAware) h_.bind_slots(std::span<const std::size_t>(ids));
   }
 
-  /// The projective hooks, routed per slot on multi-tenant homotopies
-  /// (each tenant has its own patch).
-  void renormalize_slot([[maybe_unused]] std::size_t id,
-                        [[maybe_unused]] std::span<C> z) {
-    if constexpr (kSlotProjective)
-      h_.renormalize(id, z);
-    else if constexpr (kProjective)
-      h_.renormalize(z);
-  }
-  [[nodiscard]] double infinity_ratio_slot([[maybe_unused]] std::size_t id,
-                                           [[maybe_unused]] std::span<const C> z)
-      const {
-    if constexpr (kSlotProjective)
-      return h_.infinity_ratio(id, z);
-    else if constexpr (kProjective)
-      return h_.infinity_ratio(z);
-    else
-      return std::numeric_limits<double>::infinity();  // affine: never at infinity
-  }
-
   /// Copy-and-clear the pending cancel flags into round_cancel_;
   /// returns whether any were set.  The only lock round() takes, held
   /// for two memcpy-sized loops.
@@ -821,7 +800,7 @@ class BatchPathTracker {
       if constexpr (kProjective) {
         // A stop point already on the hyperplane at infinity is a
         // classified endpoint, not a stall (as scalar).
-        if (infinity_ratio_slot(ids[j], std::span<const C>(s.x)) <
+        if (h_.infinity_ratio(ids[j], std::span<const C>(s.x)) <
             options_.at_infinity_tolerance)
           status = PathStatus::kAtInfinity;
       }

@@ -36,11 +36,13 @@
 /// The per-point lift/blend arithmetic lives in ONE copy
 /// (detail::ProjectiveSystem + detail::assemble_projective*), shared by
 /// the scalar ProjectiveHomotopy and the lockstep
-/// BatchedProjectiveHomotopy, so the scalar and batched projective
-/// trackers agree bit for bit by construction -- the same contract the
-/// affine pair holds.
+/// BatchedProjectiveHomotopy (one class for single systems and for the
+/// solve service's multi-tenant groups), so the scalar and batched
+/// projective trackers agree bit for bit by construction -- the same
+/// contract the affine pair holds.
 
 #include <limits>
+#include <optional>
 
 #include "ad/cpu_evaluator.hpp"
 #include "homotopy/homogenize.hpp"
@@ -339,75 +341,123 @@ class ProjectiveHomotopy {
 /// evaluate_values_range on the device at the pullback points; the
 /// patched start system and the lift/blend run per point on the CPU,
 /// repeating ProjectiveHomotopy's arithmetic exactly.
+///
+/// Tenants.  Each tenant is one {ProjectiveSystem, patched homogenized
+/// start evaluator, gamma}; every tracker slot carries a path of one
+/// tenant, and each point runs with its slot's tenant's objects.  Over
+/// a multi-tenant target evaluator (one with bind_tenants, i.e.
+/// core::MultiTenantFusedEvaluator) the homotopy holds up to
+/// max_tenants() tenants, installed with set_tenant and assigned to
+/// slots with assign_slot; the tracker announces each chunk's slots
+/// through bind_slots (newton::SlotAwareEvaluator) and the device
+/// launch is routed per point -- so ONE BatchPathTracker round carries
+/// live paths of several solve requests, and a path tracks bitwise
+/// identically whether it rides alone or coalesced.  Any other target
+/// evaluator holds one system: the homotopy has exactly one tenant,
+/// installed by the constructor, and every slot maps to it.
 template <prec::RealScalar S, class TargetEval>
 class BatchedProjectiveHomotopy {
   using C = cplx::Complex<S>;
+  static constexpr bool kMultiTenant =
+      requires(TargetEval& f, std::span<const unsigned> ids) { f.bind_tenants(ids); };
 
  public:
   /// Marks this type as an externally-constructed batched homotopy for
   /// BatchPathTracker's generic constructor.
   using BatchedHomotopyTag = void;
 
+  /// Multi-tenant: no tenants installed yet; `slot_capacity` is the
+  /// owning tracker's max_paths, the widest slot id bind_slots passes.
+  BatchedProjectiveHomotopy(TargetEval& f, std::size_t slot_capacity)
+    requires kMultiTenant
+      : BatchedProjectiveHomotopy(f, f.max_tenants(), slot_capacity) {}
+
+  /// Single system: `f` evaluates `target` (affine, n-dimensional);
+  /// `start_system` is homogenized to the target's degrees and patched
+  /// internally.
   BatchedProjectiveHomotopy(TargetEval& f, const poly::PolynomialSystem& target,
                             const poly::PolynomialSystem& start_system,
                             cplx::Complex<double> gamma,
                             std::span<const cplx::Complex<double>> patch)
-      : f_(f),
-        ps_(target, patch),
-        g_(homogenize(start_system, patch)),
-        gamma_(C::from_double(gamma)),
-        max_batch_(f.batch_capacity()),
-        s_eval_(target.dimension() + 1),
-        s_vals_(target.dimension() + 1) {
-    if (f.dimension() != target.dimension())
-      throw std::invalid_argument("BatchedProjectiveHomotopy: dimension mismatch");
-    if (start_system.degrees() != target.degrees())
-      throw std::invalid_argument(
-          "BatchedProjectiveHomotopy: start system degrees must match the target's");
-    const unsigned n = ps_.affine_dimension();
-    x_pts_.resize(max_batch_);
-    for (auto& p : x_pts_) p.resize(n);
-    f_chunk_.resize(max_batch_);
-    for (auto& r : f_chunk_) r.resize(n);
-    f_values_.resize(max_batch_ * std::size_t{n});
-    fhat_.resize(max_batch_ * std::size_t{n});
-    ghat_.resize(max_batch_ * std::size_t{n});
-    fhat_jac_.resize(std::size_t{n} * (n + 1));
-    fhat_v_.resize(n);
+    requires(!kMultiTenant)
+      : BatchedProjectiveHomotopy(f, 1, 0) {
+    check_systems(target, start_system);
+    tenants_[0].emplace(target, start_system, gamma, patch);
   }
 
-  [[nodiscard]] unsigned dimension() const noexcept { return ps_.dimension(); }
-  [[nodiscard]] unsigned affine_dimension() const noexcept {
-    return ps_.affine_dimension();
-  }
+  [[nodiscard]] unsigned dimension() const noexcept { return f_.dimension() + 1; }
+  [[nodiscard]] unsigned affine_dimension() const noexcept { return f_.dimension(); }
   [[nodiscard]] std::size_t max_batch() const noexcept { return max_batch_; }
+
+  /// Install tenant `tenant`: its device tables (via the shared
+  /// evaluator) and its CPU-side projective system, start system and
+  /// gamma.
+  void set_tenant(unsigned tenant, const poly::PolynomialSystem& target,
+                  const poly::PolynomialSystem& start_system,
+                  cplx::Complex<double> gamma,
+                  std::span<const cplx::Complex<double>> patch)
+    requires kMultiTenant
+  {
+    if (tenant >= tenants_.size())
+      throw std::invalid_argument("BatchedProjectiveHomotopy: bad tenant");
+    check_systems(target, start_system);
+    f_.set_tenant(tenant, target);
+    tenants_[tenant].emplace(target, start_system, gamma, patch);
+  }
+
+  void clear_tenant(unsigned tenant)
+    requires kMultiTenant
+  {
+    if (tenant < tenants_.size()) tenants_[tenant].reset();
+    f_.clear_tenant(tenant);
+  }
+
+  /// Declare that tracker slot `slot` carries a path of `tenant`.
+  void assign_slot(std::size_t slot, unsigned tenant)
+    requires kMultiTenant
+  {
+    if (slot >= slot_tenant_.size())
+      throw std::invalid_argument("BatchedProjectiveHomotopy: bad slot");
+    if (tenant >= tenants_.size() || !tenants_[tenant])
+      throw std::invalid_argument(
+          "BatchedProjectiveHomotopy: slot bound to absent tenant");
+    slot_tenant_[slot] = tenant;
+  }
+
+  /// SlotAwareEvaluator hook: points[first+i] of the following
+  /// evaluate calls belongs to tracker slot ids[first+i].  The span
+  /// must outlive those calls (the tracker binds its own id vectors).
+  void bind_slots(std::span<const std::size_t> ids)
+    requires kMultiTenant
+  {
+    bound_ = ids;
+  }
 
   /// H(z_{first+i}, ts_{first+i}) for i in [0, count), count <=
   /// max_batch(): chunk-local values (count*(n+1)) and row-major
   /// Jacobians (count*(n+1)^2), one device launch for the affine
-  /// target.  Lifted target and start values are recorded per chunk
-  /// slot for rhs_from_last.
+  /// target.  Lifted target and start values and each point's tenant
+  /// are recorded per chunk slot for rhs_from_last.
   void evaluate_range(const std::vector<std::vector<C>>& points,
                       std::span<const C> ts, std::size_t first, std::size_t count,
                       std::span<C> values, std::span<C> jacobians) {
-    const unsigned n = ps_.affine_dimension();
+    const unsigned n = affine_dimension();
     const unsigned np1 = n + 1;
     const std::size_t nn1 = std::size_t{np1} * np1;
     if (count > max_batch_ || ts.size() < first + count ||
         values.size() < count * np1 || jacobians.size() < count * nn1)
       throw std::invalid_argument("BatchedProjectiveHomotopy: bad batch spans");
 
-    for (std::size_t i = 0; i < count; ++i)
-      ps_.dehomogenize_into(std::span<const C>(points[first + i]),
-                            std::span<C>(x_pts_[i]));
+    stage(points, first, count, chunk_tenants_);
     f_.evaluate_range(x_pts_, 0, count,
                       std::span<poly::EvalResult<S>>(f_chunk_).subspan(0, count));
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t slot = first + i;
+      const Tenant& ten = *tenants_[chunk_tenants_[i]];
       const auto z = std::span<const C>(points[slot]);
-      g_.evaluate(z, s_eval_);
+      ten.g.evaluate(z, s_eval_);
       detail::assemble_projective<S>(
-          ps_, gamma_, ts[slot], z, std::span<const C>(x_pts_[i]),
+          ten.ps, ten.gamma, ts[slot], z, std::span<const C>(x_pts_[i]),
           std::span<const C>(f_chunk_[i].values),
           std::span<const C>(f_chunk_[i].jacobian),
           std::span<const C>(s_eval_.values), std::span<const C>(s_eval_.jacobian),
@@ -422,24 +472,23 @@ class BatchedProjectiveHomotopy {
   void evaluate_values_range(const std::vector<std::vector<C>>& points,
                              std::span<const C> ts, std::size_t first,
                              std::size_t count, std::span<C> values) {
-    const unsigned n = ps_.affine_dimension();
+    const unsigned n = affine_dimension();
     const unsigned np1 = n + 1;
     if (ts.size() < first + count || values.size() < count * np1)
       throw std::invalid_argument("BatchedProjectiveHomotopy: bad batch spans");
 
     for (std::size_t c0 = 0; c0 < count; c0 += max_batch_) {
       const std::size_t cnt = std::min(max_batch_, count - c0);
-      for (std::size_t i = 0; i < cnt; ++i)
-        ps_.dehomogenize_into(std::span<const C>(points[first + c0 + i]),
-                              std::span<C>(x_pts_[i]));
+      stage(points, first + c0, cnt, values_tenants_);
       f_.evaluate_values_range(x_pts_, 0, cnt,
                                std::span<C>(f_values_).subspan(0, cnt * n));
       for (std::size_t i = 0; i < cnt; ++i) {
         const std::size_t slot = c0 + i;
+        const Tenant& ten = *tenants_[values_tenants_[i]];
         const auto z = std::span<const C>(points[first + slot]);
-        g_.evaluate_values(z, std::span<C>(s_vals_));
+        ten.g.evaluate_values(z, std::span<C>(s_vals_));
         detail::assemble_projective_values<S>(
-            ps_, gamma_, ts[first + slot], z,
+            ten.ps, ten.gamma, ts[first + slot], z,
             std::span<const C>(f_values_).subspan(i * n, n),
             std::span<const C>(s_vals_), std::span<C>(fhat_v_),
             values.subspan(slot * np1, np1));
@@ -448,33 +497,123 @@ class BatchedProjectiveHomotopy {
   }
 
   /// Davidenko right-hand side of chunk slot i of the most recent
-  /// evaluate_range call; the patch row is zero.
+  /// evaluate_range call, with that point's tenant gamma; the patch row
+  /// is zero.
   void rhs_from_last(std::size_t i, std::span<C> out) const {
-    const unsigned n = ps_.affine_dimension();
+    const unsigned n = affine_dimension();
+    const C& gamma = tenants_[chunk_tenants_[i]]->gamma;
     for (unsigned q = 0; q < n; ++q)
-      out[q] = detail::davidenko_rhs(gamma_, fhat_[i * n + q], ghat_[i * n + q]);
+      out[q] = detail::davidenko_rhs(gamma, fhat_[i * n + q], ghat_[i * n + q]);
     out[n] = C{};
   }
 
-  void renormalize(std::span<C> z) const { ps_.renormalize(z); }
-  [[nodiscard]] double infinity_ratio(std::span<const C> z) const {
-    return ps_.infinity_ratio(z);
+  /// The projective hooks BatchPathTracker keys on: each slot
+  /// renormalizes onto, and measures infinity against, ITS tenant's
+  /// patch.
+  void renormalize(std::size_t slot, std::span<C> z) const {
+    tenants_[tenant_of_slot(slot)]->ps.renormalize(z);
+  }
+  [[nodiscard]] double infinity_ratio(std::size_t slot, std::span<const C> z) const {
+    return tenants_[tenant_of_slot(slot)]->ps.infinity_ratio(z);
   }
 
  private:
+  static constexpr unsigned kUnassigned = ~0u;
+
+  struct Tenant {
+    Tenant(const poly::PolynomialSystem& target,
+           const poly::PolynomialSystem& start_system,
+           cplx::Complex<double> gamma_in,
+           std::span<const cplx::Complex<double>> patch)
+        : ps(target, patch),
+          g(homogenize(start_system, patch)),
+          gamma(C::from_double(gamma_in)) {}
+
+    detail::ProjectiveSystem<S> ps;
+    ad::CpuEvaluator<S> g;  ///< patched homogenized start system
+    C gamma;
+  };
+
+  /// Shared sizing: `tenants` tenant tables, `slot_capacity` mapped
+  /// slots, per-chunk staging for the device batch capacity.
+  BatchedProjectiveHomotopy(TargetEval& f, unsigned tenants, std::size_t slot_capacity)
+      : f_(f),
+        max_batch_(f.batch_capacity()),
+        tenants_(tenants),
+        slot_tenant_(slot_capacity, kUnassigned),
+        s_eval_(f.dimension() + 1),
+        s_vals_(f.dimension() + 1) {
+    const unsigned n = f_.dimension();
+    x_pts_.resize(max_batch_);
+    for (auto& p : x_pts_) p.resize(n);
+    f_chunk_.resize(max_batch_);
+    for (auto& r : f_chunk_) r.resize(n);
+    f_values_.resize(max_batch_ * std::size_t{n});
+    fhat_.resize(max_batch_ * std::size_t{n});
+    ghat_.resize(max_batch_ * std::size_t{n});
+    fhat_jac_.resize(std::size_t{n} * (n + 1));
+    fhat_v_.resize(n);
+    chunk_tenants_.resize(max_batch_);
+    values_tenants_.resize(max_batch_);
+  }
+
+  void check_systems(const poly::PolynomialSystem& target,
+                     const poly::PolynomialSystem& start_system) const {
+    if (f_.dimension() != target.dimension())
+      throw std::invalid_argument("BatchedProjectiveHomotopy: dimension mismatch");
+    if (start_system.degrees() != target.degrees())
+      throw std::invalid_argument(
+          "BatchedProjectiveHomotopy: start system degrees must match the target's");
+  }
+
+  [[nodiscard]] unsigned tenant_of_slot(std::size_t slot) const {
+    if constexpr (!kMultiTenant) {
+      return 0;
+    } else {
+      if (slot >= slot_tenant_.size() || slot_tenant_[slot] == kUnassigned)
+        throw std::logic_error(
+            "BatchedProjectiveHomotopy: unassigned slot evaluated");
+      return slot_tenant_[slot];
+    }
+  }
+
+  /// Chunk staging shared by both evaluate paths: record the tenant of
+  /// points[first+i] into tenants[i], dehomogenize it with that
+  /// tenant's system, and route the device launch per point.
+  void stage(const std::vector<std::vector<C>>& points, std::size_t first,
+             std::size_t count, std::vector<unsigned>& tenants) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if constexpr (kMultiTenant) {
+        if (bound_.size() <= first + i)
+          throw std::logic_error(
+              "BatchedProjectiveHomotopy: evaluate without bind_slots");
+        tenants[i] = tenant_of_slot(bound_[first + i]);
+      } else {
+        tenants[i] = 0;
+      }
+      tenants_[tenants[i]]->ps.dehomogenize_into(
+          std::span<const C>(points[first + i]), std::span<C>(x_pts_[i]));
+    }
+    if constexpr (kMultiTenant)
+      f_.bind_tenants(std::span<const unsigned>(tenants.data(), count));
+  }
+
   TargetEval& f_;
-  detail::ProjectiveSystem<S> ps_;
-  ad::CpuEvaluator<S> g_;  ///< patched homogenized start system
-  C gamma_;
   std::size_t max_batch_;
-  poly::EvalResult<S> s_eval_;             ///< per-point start scratch
-  std::vector<C> s_vals_;                  ///< per-point values-only scratch
-  std::vector<std::vector<C>> x_pts_;      ///< pullback chunk staging
+  std::vector<std::optional<Tenant>> tenants_;
+  std::vector<unsigned> slot_tenant_;   ///< tenant of each tracker slot
+  std::span<const std::size_t> bound_;  ///< slot ids of the next chunk
+
+  poly::EvalResult<S> s_eval_;                ///< per-point start scratch
+  std::vector<C> s_vals_;                     ///< per-point values-only scratch
+  std::vector<std::vector<C>> x_pts_;         ///< pullback chunk staging
   std::vector<poly::EvalResult<S>> f_chunk_;  ///< affine device chunk results
-  std::vector<C> f_values_;                ///< affine values-only staging
-  std::vector<C> fhat_, ghat_;             ///< last full eval lifts, per slot
-  std::vector<C> fhat_jac_;                ///< per-point lift Jacobian scratch
-  std::vector<C> fhat_v_;                  ///< values-only lift scratch
+  std::vector<C> f_values_;                   ///< affine values-only staging
+  std::vector<C> fhat_, ghat_;                ///< last full eval lifts, per slot
+  std::vector<C> fhat_jac_;                   ///< per-point lift Jacobian scratch
+  std::vector<C> fhat_v_;                     ///< values-only lift scratch
+  std::vector<unsigned> chunk_tenants_;   ///< last full eval's tenant, per slot
+  std::vector<unsigned> values_tenants_;  ///< values-only launch routing
 };
 
 }  // namespace polyeval::homotopy

@@ -6,7 +6,8 @@
 ///
 /// The service is the only device tracking engine.  It runs every
 /// path in lockstep rounds on the fused multi-tenant kernel, one
-/// BatchPathTracker per shard, with the start system on the CPU (a
+/// BatchPathTracker over a multi-tenant BatchedProjectiveHomotopy per
+/// shard, with the start system on the CPU (a
 /// handful of x_i^d - 1 monomials, not the uniform structure the
 /// massively parallel pipeline wants).  These wrappers size the
 /// service so every shard's whole slice of the paths is resident at
@@ -20,8 +21,8 @@
 /// AFFINE target (the homogeneous rows are lifted on the host,
 /// projective.hpp), so the paper's uniform structure requirement is
 /// untouched.  Affine lockstep tracking stays a library capability
-/// (BatchPathTracker over BatchedHomotopy, solver.hpp) outside the
-/// service.
+/// (BatchPathTracker over BatchedHomotopy, batch_tracker.hpp) outside
+/// the service.
 ///
 /// Reproducibility: a path's trajectory depends only on its start root,
 /// gamma, the patch and the evaluators, all identical across shards, so

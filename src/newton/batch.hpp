@@ -40,14 +40,14 @@ namespace polyeval::newton {
 /// Anything that can evaluate a batch of points, each at its own
 /// parameter value (the homotopy's t, complex so the Cauchy endgame can
 /// circle it around 1; ordinary tracking passes real values), with and
-/// without the Jacobian -- homotopy::BatchedHomotopy and
-/// homotopy::BatchedProjectiveHomotopy are the models.  Both entry
-/// points evaluate points[first + i] at ts[first + i] for i in
-/// [0, count) with
-/// CHUNK-LOCAL outputs: `values` receives count*n entries point-major,
-/// `jacobians` count*n*n row-major.  Jacobian calls are bounded by
-/// max_batch() (the device batch capacity); values-only calls take any
-/// count.
+/// without the Jacobian -- homotopy::BatchedHomotopy (affine) and
+/// homotopy::BatchedProjectiveHomotopy (one system, or the solve
+/// service's tenants on a multi-tenant evaluator) are the models.  Both
+/// entry points evaluate points[first + i] at ts[first + i] for i in
+/// [0, count) with CHUNK-LOCAL outputs: `values` receives count*n
+/// entries point-major, `jacobians` count*n*n row-major.  Jacobian
+/// calls are bounded by max_batch() (the device batch capacity);
+/// values-only calls take any count.
 template <class E, class S>
 concept BatchEvaluator =
     requires(E e, const std::vector<std::vector<cplx::Complex<S>>>& points,
@@ -121,8 +121,9 @@ struct RefineBatchScratch {
 };
 
 /// Evaluators that need to know which caller-side slot each compacted
-/// batch position belongs to (the multi-tenant evaluators of the solve
-/// service, which route each point to its own system tables).  The
+/// batch position belongs to (BatchedProjectiveHomotopy over a
+/// multi-tenant evaluator, which routes each point to its slot's
+/// tenant -- its own system tables).  The
 /// bound span is indexed exactly like the points of the evaluate calls
 /// that follow it: bound[first + i] owns points[first + i].
 template <class E>

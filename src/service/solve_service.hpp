@@ -10,7 +10,8 @@
 /// (n, m, k, d) structure AND whose tracking/tuning options compare
 /// equal land in one *group*; a group owns, per device shard, a
 /// multi-tenant fused evaluator (one launch serves points of several
-/// requests), a slot-aware batched homotopy and a BatchPathTracker.
+/// requests), the batched projective homotopy over it (one tenant per
+/// request, routed per tracker slot) and a BatchPathTracker.
 /// Each service tick runs one lockstep round on every shard with live
 /// paths -- shards advance in parallel (their devices are independent)
 /// -- then a single coordinator phase drains retired slots into
@@ -66,14 +67,15 @@
 #include <vector>
 
 #include "audit/kernel_auditor.hpp"
+#include "core/multitenant_evaluator.hpp"
 #include "homotopy/batch_tracker.hpp"
 #include "homotopy/homogenize.hpp"
+#include "homotopy/projective.hpp"
 #include "homotopy/solver.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "poly/random_system.hpp"
-#include "service/multitenant_homotopy.hpp"
 #include "service/request.hpp"
 #include "service/system_cache.hpp"
 #include "simt/device_registry.hpp"
@@ -356,7 +358,8 @@ class SolveService {
   };
 
   struct Group {
-    using Homo = MultiTenantProjectiveHomotopy<S>;
+    using Homo = homotopy::BatchedProjectiveHomotopy<
+        S, core::MultiTenantFusedEvaluator<S>>;
 
     struct Shard {
       simt::Device& dev;
@@ -445,17 +448,11 @@ class SolveService {
     } catch (const std::invalid_argument&) {
       return AdmissionVerdict::kInvalid;
     }
-    // Every shard of the request's group holds max_tenants copies of the
-    // system's tables in constant memory; a structure that cannot fit is
-    // rejected here, before the group's construction throws in a tick.
     const auto structure = req.target.uniform_structure();
     if (!structure) return AdmissionVerdict::kInvalid;  // non-uniform system
-    const std::uint64_t table_bytes =
-        core::MultiTenantFusedEvaluator<S>::constant_bytes(*structure,
-                                                           config_.max_tenants);
-    for (const auto& spec : fleet_spec_list_)
-      if (table_bytes > spec.constant_memory_bytes - spec.constant_reserved_bytes)
-        return AdmissionVerdict::kInvalid;
+    if (!group_tables_fit(GroupKey{*structure, req.options.tracking,
+                                   req.options.tuning}))
+      return AdmissionVerdict::kInvalid;
     const std::size_t misses_before = cache_.misses();
     try {
       item.entry = cache_.lookup(
@@ -486,6 +483,41 @@ class SolveService {
     if (queued_.size() >= config_.max_queued)
       return AdmissionVerdict::kQueueFull;
     return AdmissionVerdict::kAdmitted;
+  }
+
+  /// Every shard of a group holds max_tenants copies of its structure's
+  /// tables in its device's constant memory, which is never freed.  A
+  /// request that opens a new group -- its key matches no built group
+  /// and no queued request -- is admitted only if those tables, plus the
+  /// tables of the other new groups the queue will open, fit what every
+  /// device has left; otherwise the group's construction would throw
+  /// simt::ConstantMemoryOverflow inside a tick and stop every tenant.
+  [[nodiscard]] bool group_tables_fit(const GroupKey& key) const {
+    const auto built = [&](const GroupKey& k) {
+      return std::any_of(groups_.begin(), groups_.end(),
+                         [&](const auto& g) { return g->key == k; });
+    };
+    if (built(key)) return true;
+    std::vector<GroupKey> opening{key};
+    for (const auto& q : queued_) {
+      const GroupKey k = group_key(q);
+      if (k == key) return true;
+      if (!built(k) && std::find(opening.begin(), opening.end(), k) == opening.end())
+        opening.push_back(k);
+    }
+    std::uint64_t bytes = 0;
+    for (const auto& k : opening)
+      bytes += core::MultiTenantFusedEvaluator<S>::constant_bytes(
+          k.structure, config_.max_tenants);
+    for (unsigned i = 0; i < registry_.size(); ++i)
+      if (bytes > registry_.device(i).constant_bytes_remaining()) return false;
+    return true;
+  }
+
+  static GroupKey group_key(const QueuedItem& item) {
+    const auto& req = item.state->request;
+    return {item.entry->packed.structure, req.options.tracking,
+            req.options.tuning};
   }
 
   /// One audited launch of the production fused kernel for a system the
@@ -583,9 +615,7 @@ class SolveService {
 
   bool try_activate(QueuedItem& item) {
     auto& req = item.state->request;
-    GroupKey key{item.entry->packed.structure, req.options.tracking,
-                 req.options.tuning};
-    Group* group = find_or_create(key, *item.entry);
+    Group* group = find_or_create(group_key(item), *item.entry);
     if (group->free_tenants.empty()) return false;  // stays queued
     const unsigned tenant = group->free_tenants.back();
     group->free_tenants.pop_back();

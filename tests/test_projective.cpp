@@ -2,15 +2,23 @@
 // algebra against naive oracles, at-infinity classification (where the
 // affine tracker stalls), winding-number measurement on singular
 // endpoints, bitwise lockstep-vs-scalar parity for projective mode
-// across shard counts, the shared step-control arithmetic, and the
+// across shard counts, the batched projective homotopy's tenancy
+// (several systems on one multi-tenant evaluator, bitwise equal to each
+// system alone), the shared step-control arithmetic, and the
 // empty-mask launch contract of newton::refine_batch.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <numeric>
+
 #include "core/fused_evaluator.hpp"
+#include "core/multitenant_evaluator.hpp"
 #include "homotopy/sharded_solver.hpp"
 #include "parity_oracles.hpp"
 #include "poly/random_system.hpp"
+#include "prec/double_double.hpp"
 
 namespace {
 
@@ -423,6 +431,124 @@ TEST(StepControl, ZeroSamplesPerLoopRejectedAtConstruction) {
           homotopy::BatchedProjectiveHomotopy<double, core::FusedGpuEvaluator<double>>>(
           device, hb, bad, 2)),
       std::invalid_argument);
+}
+
+// -- one batched projective homotopy, one or several tenants -------------
+
+template <class T>
+bool same_bits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// Two tenants with different systems, gammas and patches on ONE
+/// multi-tenant evaluator, slots interleaved, against each tenant's
+/// single-system homotopy over its own FusedGpuEvaluator: every output
+/// for a point must be bitwise its own tenant's.
+template <prec::RealScalar S>
+void expect_tenants_match_single_systems() {
+  using C = cplx::Complex<S>;
+  using Single = homotopy::BatchedProjectiveHomotopy<S, core::FusedGpuEvaluator<S>>;
+  using Multi =
+      homotopy::BatchedProjectiveHomotopy<S, core::MultiTenantFusedEvaluator<S>>;
+  constexpr unsigned n = 3, batch = 6;
+  constexpr std::size_t np1 = n + 1, nn1 = np1 * np1;
+  const std::array<poly::PolynomialSystem, 2> targets{uniform_target(n, 99),
+                                                      uniform_target(n, 1234)};
+  const homotopy::TotalDegreeStart start0(targets[0]), start1(targets[1]);
+  const std::array<const poly::PolynomialSystem*, 2> starts{&start0.system(),
+                                                            &start1.system()};
+  const std::array<Cd, 2> gammas{homotopy::random_gamma(1), homotopy::random_gamma(2)};
+  const std::array<std::vector<Cd>, 2> patches{homotopy::random_patch(n + 1, 3),
+                                               homotopy::random_patch(n + 1, 4)};
+  const std::array<unsigned, batch> slot_tenant{0, 1, 1, 0, 1, 0};
+
+  simt::Device dev0, dev1, dev_mt;
+  core::FusedGpuEvaluator<S> f0(dev0, targets[0], batch), f1(dev1, targets[1], batch);
+  Single h0(f0, targets[0], *starts[0], gammas[0], std::span<const Cd>(patches[0]));
+  Single h1(f1, targets[1], *starts[1], gammas[1], std::span<const Cd>(patches[1]));
+  const std::array<Single*, 2> single{&h0, &h1};
+
+  core::MultiTenantFusedEvaluator<S> fmt(
+      dev_mt, core::pack_system(targets[0]).structure, /*max_tenants=*/2, batch);
+  Multi hm(fmt, batch);
+  for (unsigned t = 0; t < 2; ++t)
+    hm.set_tenant(t, targets[t], *starts[t], gammas[t],
+                  std::span<const Cd>(patches[t]));
+  for (std::size_t slot = 0; slot < batch; ++slot)
+    hm.assign_slot(slot, slot_tenant[slot]);
+  std::vector<std::size_t> ids(batch);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  hm.bind_slots(std::span<const std::size_t>(ids));
+
+  std::vector<std::vector<C>> points;
+  std::vector<C> ts;
+  for (unsigned p = 0; p < batch; ++p) {
+    points.push_back(poly::make_random_point<S>(n + 1, 700 + p));
+    ts.push_back(C(S(0.1 + 0.15 * p), S(0.02 * p)));
+  }
+  const auto sub = [](const std::vector<C>& v, std::size_t at, std::size_t len) {
+    return std::span<const C>(v).subspan(at, len);
+  };
+
+  // Full evaluation of a chunk at an offset, with the Davidenko rhs.
+  const std::size_t first = 1, count = batch - 1;
+  std::vector<C> mv(count * np1), mj(count * nn1), mrhs(np1), srhs(np1);
+  hm.evaluate_range(points, std::span<const C>(ts), first, count, std::span<C>(mv),
+                    std::span<C>(mj));
+  std::array<std::vector<C>, 2> sv, sj;
+  for (unsigned t = 0; t < 2; ++t) {
+    sv[t].resize(count * np1);
+    sj[t].resize(count * nn1);
+    single[t]->evaluate_range(points, std::span<const C>(ts), first, count,
+                              std::span<C>(sv[t]), std::span<C>(sj[t]));
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const unsigned t = slot_tenant[first + i];
+    EXPECT_TRUE(same_bits(sub(mv, i * np1, np1), sub(sv[t], i * np1, np1)))
+        << "values, point " << first + i;
+    EXPECT_TRUE(same_bits(sub(mj, i * nn1, nn1), sub(sj[t], i * nn1, nn1)))
+        << "Jacobian, point " << first + i;
+    hm.rhs_from_last(i, std::span<C>(mrhs));
+    single[t]->rhs_from_last(i, std::span<C>(srhs));
+    EXPECT_TRUE(same_bits(std::span<const C>(mrhs), std::span<const C>(srhs)))
+        << "rhs, point " << first + i;
+  }
+
+  // Values only, the whole batch.
+  std::vector<C> mvals(batch * np1);
+  hm.evaluate_values_range(points, std::span<const C>(ts), 0, batch,
+                           std::span<C>(mvals));
+  for (unsigned t = 0; t < 2; ++t) {
+    std::vector<C> svals(batch * np1);
+    single[t]->evaluate_values_range(points, std::span<const C>(ts), 0, batch,
+                                     std::span<C>(svals));
+    for (std::size_t p = 0; p < batch; ++p) {
+      if (slot_tenant[p] != t) continue;
+      EXPECT_TRUE(same_bits(sub(mvals, p * np1, np1), sub(svals, p * np1, np1)))
+          << "values-only, point " << p;
+    }
+  }
+
+  // The per-slot projective hooks use the slot's tenant's patch.
+  for (std::size_t slot = 0; slot < batch; ++slot) {
+    Single& h = *single[slot_tenant[slot]];
+    auto zm = points[slot];
+    auto zs = points[slot];
+    hm.renormalize(slot, std::span<C>(zm));
+    h.renormalize(slot, std::span<C>(zs));
+    EXPECT_TRUE(same_bits(std::span<const C>(zm), std::span<const C>(zs)))
+        << "renormalize, slot " << slot;
+    const double rm = hm.infinity_ratio(slot, std::span<const C>(zm));
+    const double rs = h.infinity_ratio(slot, std::span<const C>(zs));
+    EXPECT_EQ(std::memcmp(&rm, &rs, sizeof(double)), 0)
+        << "infinity_ratio, slot " << slot;
+  }
+}
+
+TEST(BatchedProjectiveHomotopy, TenantsMatchSingleSystemHomotopiesBitwise) {
+  expect_tenants_match_single_systems<double>();
+  expect_tenants_match_single_systems<prec::DoubleDouble>();
 }
 
 // -- refine_batch's empty-mask launch contract ---------------------------

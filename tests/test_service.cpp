@@ -346,6 +346,67 @@ TEST(SolveService, AdmissionControlVerdicts) {
   }
 }
 
+TEST(SolveService, AdmissionCountsConstantMemoryOfBuiltAndQueuedGroups) {
+  // Groups are never retired, and every shard of one keeps max_tenants
+  // copies of its structure's tables in its device's constant memory.
+  // Each distinct patch_seed opens a new group; once the groups built
+  // and queued so far leave no room for another, a request that would
+  // open one is rejected as kInvalid instead of throwing
+  // simt::ConstantMemoryOverflow from inside drain().
+  const auto sys = small_system(99);
+  const auto request = [&](std::uint64_t patch_seed) {
+    auto opt = small_options(1);
+    opt.tracking.patch_seed = patch_seed;
+    return service::SolveRequest<double>{sys, opt, {}, 0, 0.0};
+  };
+  service::SolveService<double>::Config config;
+  config.shards = 1;
+  config.max_tenants = 64;
+  const simt::DeviceSpec spec = config.spec;
+  const std::uint64_t per_group =
+      core::MultiTenantFusedEvaluator<double>::constant_bytes(
+          *sys.uniform_structure(), config.max_tenants);
+  const std::uint64_t fit =
+      (spec.constant_memory_bytes - spec.constant_reserved_bytes) / per_group;
+  ASSERT_EQ(fit, 28u);  // 2304 B per (3,3,2,2) group in 64512 B
+
+  {  // Drained one at a time: the built groups hold the memory.
+    service::SolveService<double> svc(config);
+    std::uint64_t admitted = 0;
+    for (std::uint64_t r = 0; r < fit + 4; ++r) {
+      auto t = svc.submit(request(1000 + r));
+      if (t.admitted())
+        ++admitted;
+      else
+        EXPECT_EQ(t.verdict(), service::AdmissionVerdict::kInvalid) << "request " << r;
+      ASSERT_NO_THROW(svc.drain()) << "request " << r;
+      EXPECT_TRUE(t.done()) << "request " << r;
+    }
+    EXPECT_EQ(admitted, fit);
+    EXPECT_EQ(svc.stats().rejected_invalid, 4u);
+
+    // Reusing a built group's patch_seed needs no new tables.
+    auto again = svc.submit(request(1000));
+    ASSERT_TRUE(again.admitted());
+    ASSERT_NO_THROW(svc.drain());
+    ASSERT_TRUE(again.done());
+    EXPECT_EQ(again.report().paths.size(), 1u);
+  }
+  {  // All queued before the first tick: the queue's new groups count.
+    service::SolveService<double> svc(config);
+    std::vector<service::SolveTicket<double>> tickets;
+    for (std::uint64_t r = 0; r <= fit; ++r)
+      tickets.push_back(svc.submit(request(2000 + r)));
+    for (std::uint64_t r = 0; r < fit; ++r) EXPECT_TRUE(tickets[r].admitted());
+    EXPECT_EQ(tickets[fit].verdict(), service::AdmissionVerdict::kInvalid);
+    // A request joining a queued group is admitted.
+    auto joins = svc.submit(request(2000));
+    EXPECT_TRUE(joins.admitted());
+    ASSERT_NO_THROW(svc.drain());
+    EXPECT_TRUE(joins.done());
+  }
+}
+
 TEST(SolveService, StealsLivePathsIntoIdleShards) {
   // 5 paths over 2 shards with 4 slots each: shard 0 fills to 4, shard
   // 1 gets 1, the pending queue is empty -- the very first rebalance
