@@ -36,9 +36,7 @@ class BatchGpuEvaluator {
     /// results are bitwise identical under either (see layout.hpp).
     /// nullopt = auto (tuned, or AoS in kHeuristic mode).
     std::optional<InterchangeLayout> interchange;
-    /// Tuned resolution applies only when both geometry knobs are auto;
-    /// pinning either one pins the other to the heuristic seed (a
-    /// half-pinned key would poison the cache).
+    /// How the auto knobs resolve (the pin rule: tune::resolve_geometry).
     tune::TuningMode tuning = tune::TuningMode::kMeasured;
   };
 
@@ -53,7 +51,28 @@ class BatchGpuEvaluator {
         layout_(packed_.structure) {
     if (capacity_ == 0)
       throw std::invalid_argument("BatchGpuEvaluator: zero batch capacity");
-    resolve_options(system);
+    // The paper's one-warp block seeds candidates {32, 64, 128}; a
+    // candidate whose kernel-2 shared tile overflows the per-block
+    // limit throws LaunchError and reads as infeasible.
+    options_ = tune::resolve_geometry(
+        options_,
+        [&] {
+          static constexpr unsigned kBlocks[] = {32, 64, 128};
+          static constexpr unsigned kStreams[] = {2};
+          const unsigned width = static_cast<unsigned>(sizeof(S) / sizeof(double));
+          return tune::GeometrySearch{
+              tune::TuneKey::make(tune::TunedSchedule::kBatch, packed_.structure,
+                                  capacity_, 0, width, device_.spec()),
+              32, kBlocks, kStreams};
+        },
+        [&](const Options& pinned) -> std::optional<tune::ProbeOutcome> {
+          try {
+            return detail::probe_zero_batch<S, BatchGpuEvaluator>(
+                device_.spec(), system, capacity_, pinned);
+          } catch (const simt::LaunchError&) {
+            return std::nullopt;
+          }
+        });
     const auto s = packed_.structure;
 
     const auto encoded = encode_exponents(ExponentEncoding::kChar, packed_.exponents);
@@ -163,59 +182,6 @@ class BatchGpuEvaluator {
   [[nodiscard]] const simt::LaunchLog& last_log() const noexcept { return last_log_; }
 
  private:
-  /// Resolve the auto knobs before any allocation consumes them.  The
-  /// heuristic seed is the paper's one-warp block; measured mode probes
-  /// block sizes x interchange layouts on a scratch device with a
-  /// full-capacity zero-point batch (values cannot move an access
-  /// pattern).  Candidates whose kernel-2 shared tile overflows the
-  /// per-block limit throw LaunchError and read as infeasible.
-  void resolve_options(const poly::PolynomialSystem& system) {
-    const bool auto_block = options_.block_size == 0;
-    const bool auto_layout = !options_.interchange.has_value();
-    if (!auto_block && !auto_layout) return;
-    constexpr unsigned kSeedBlock = 32;  // the paper's block size
-    if (options_.tuning == tune::TuningMode::kHeuristic || !auto_block ||
-        !auto_layout) {
-      if (auto_block) options_.block_size = kSeedBlock;
-      if (auto_layout) options_.interchange = InterchangeLayout::kAoS;
-      return;
-    }
-    const auto st = packed_.structure;
-    const unsigned width = static_cast<unsigned>(sizeof(S) / sizeof(double));
-    const auto key = tune::TuneKey::make(tune::TunedSchedule::kBatch, st,
-                                         capacity_, 0, width, device_.spec());
-    const unsigned blocks[] = {32, 64, 128};
-    const unsigned streams[] = {2};
-    const auto candidates = tune::standard_candidates(kSeedBlock, blocks, streams);
-    const auto decision = tune::Autotuner::global().tune(
-        key, std::span<const tune::TuneCandidate>(candidates),
-        [&](const tune::TuneCandidate& cand) -> std::optional<tune::ProbeOutcome> {
-          simt::Device probe_device(device_.spec());
-          Options copt = options_;
-          copt.block_size = cand.block_size;
-          copt.interchange = cand.interchange;
-          copt.tuning = tune::TuningMode::kHeuristic;
-          try {
-            BatchGpuEvaluator probe(probe_device, system, capacity_, copt);
-            std::vector<std::vector<C>> pts(capacity_, std::vector<C>(st.n, C{}));
-            std::vector<poly::EvalResult<S>> res(capacity_);
-            probe.evaluate_range(pts, 0, capacity_,
-                                 std::span<poly::EvalResult<S>>(res));
-            simt::GpuCostModel cost;
-            cost.scalar_cost_factor = simt::scalar_cost_factor_for_width(width);
-            tune::ProbeOutcome outcome;
-            outcome.modeled_us = simt::estimate_log_us(probe.last_log(),
-                                                       probe_device.spec(), cost);
-            outcome.log = probe.last_log();
-            return outcome;
-          } catch (const simt::LaunchError&) {
-            return std::nullopt;  // shared tile scales with block size
-          }
-        });
-    options_.block_size = decision.choice.block_size;
-    options_.interchange = decision.choice.interchange;
-  }
-
   simt::Device& device_;
   Options options_;
   unsigned capacity_;

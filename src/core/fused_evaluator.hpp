@@ -452,11 +452,10 @@ class FusedGpuEvaluator {
     /// tuning picks per workload, the heuristic pins AoS.  Results are
     /// bitwise identical under either layout.
     std::optional<InterchangeLayout> interchange;
-    /// How the auto knobs above resolve.  Measured tuning may change
-    /// TIMING only -- results are pinned bitwise identical across the
-    /// modes (tests/test_tune.cpp).  Tuned resolution applies when both
-    /// geometry knobs are auto; pinning either one pins the other to
-    /// the heuristic seed (a half-pinned key would poison the cache).
+    /// How the auto knobs above resolve (the pin rule:
+    /// tune::resolve_geometry).  Measured tuning may change TIMING only
+    /// -- results are pinned bitwise identical across the modes
+    /// (tests/test_tune.cpp).
     tune::TuningMode tuning = tune::TuningMode::kMeasured;
     /// The race journals are a debugging aid (the cuda-memcheck
     /// analogue); the production fast path skips the per-access
@@ -605,64 +604,29 @@ class FusedGpuEvaluator {
 
   /// Resolve the auto geometry knobs (block_size == 0, interchange ==
   /// nullopt) for a device of `spec`, as the constructor does before
-  /// any member consumes them.  Measured mode (both knobs auto): route
-  /// through the global Autotuner -- on a cache miss each candidate
-  /// geometry is probed on a SCRATCH device (same spec) with a
-  /// full-capacity zero-point batch (values cannot move a memory
-  /// access, so zeros measure exactly the steady state's statistics)
-  /// and scored by estimate_log_us under the scalar's cost factor.
-  /// Heuristic mode, or any knob pinned: the missing knobs take the
-  /// pick_block_size seed and AoS.  Candidate probes construct
-  /// themselves with kHeuristic and explicit geometry, so resolution
-  /// can never recurse.
+  /// any member consumes them, through tune::resolve_geometry: the
+  /// pick_block_size seed over the batch capacity, candidate blocks
+  /// {32, 64, 128, 256}, each probed with a full-capacity zero batch on
+  /// a scratch device and scored by estimate_log_us.
   [[nodiscard]] static Options resolve_options(const simt::DeviceSpec& spec,
                                                const poly::PolynomialSystem& system,
                                                unsigned capacity, Options options) {
-    const bool auto_block = options.block_size == 0;
-    const bool auto_layout = !options.interchange.has_value();
-    if ((!auto_block && !auto_layout) || capacity == 0) {
-      if (auto_layout) options.interchange = InterchangeLayout::kAoS;
-      return options;
-    }
-    const auto st = pack_system(system).structure;
-    const unsigned sms = spec.multiprocessors;
-    const unsigned seed = pick_block_size(st.n, st.m, st.k, capacity, sms);
-    if (options.tuning == tune::TuningMode::kHeuristic || !auto_block ||
-        !auto_layout) {
-      if (auto_block) options.block_size = seed;
-      if (auto_layout) options.interchange = InterchangeLayout::kAoS;
-      return options;
-    }
-
-    const unsigned width = static_cast<unsigned>(sizeof(S) / sizeof(double));
-    const auto key = tune_key(st, capacity, spec);
-    const unsigned blocks[] = {32, 64, 128, 256};
-    const unsigned streams[] = {2};
-    const auto candidates = tune::standard_candidates(seed, blocks, streams);
-    const auto decision = tune::Autotuner::global().tune(
-        key, std::span<const tune::TuneCandidate>(candidates),
-        [&](const tune::TuneCandidate& cand) -> std::optional<tune::ProbeOutcome> {
-          simt::Device probe_device(spec);
-          Options copt = options;
-          copt.block_size = cand.block_size;
-          copt.interchange = cand.interchange;
-          copt.tuning = tune::TuningMode::kHeuristic;
-          FusedGpuEvaluator probe(probe_device, system, capacity, copt);
-          std::vector<std::vector<C>> pts(capacity, std::vector<C>(st.n, C{}));
-          std::vector<poly::EvalResult<S>> res(capacity);
-          probe.evaluate_range(pts, 0, capacity,
-                               std::span<poly::EvalResult<S>>(res));
-          simt::GpuCostModel cost;
-          cost.scalar_cost_factor = simt::scalar_cost_factor_for_width(width);
-          tune::ProbeOutcome outcome;
-          outcome.modeled_us =
-              simt::estimate_log_us(probe.last_log(), probe_device.spec(), cost);
-          outcome.log = probe.last_log();
-          return outcome;
+    if (capacity == 0) return options;  // the ctor body throws the real error
+    return tune::resolve_geometry(
+        options,
+        [&] {
+          static constexpr unsigned kBlocks[] = {32, 64, 128, 256};
+          static constexpr unsigned kStreams[] = {2};
+          const auto st = pack_system(system).structure;
+          return tune::GeometrySearch{
+              tune_key(st, capacity, spec),
+              pick_block_size(st.n, st.m, st.k, capacity, spec.multiprocessors),
+              kBlocks, kStreams};
+        },
+        [&](const Options& pinned) {
+          return detail::probe_zero_batch<S, FusedGpuEvaluator>(spec, system, capacity,
+                                                                pinned);
         });
-    options.block_size = decision.choice.block_size;
-    options.interchange = decision.choice.interchange;
-    return options;
   }
 
  private:

@@ -41,6 +41,8 @@
 #include "core/layout.hpp"
 #include "poly/eval_result.hpp"
 #include "simt/device.hpp"
+#include "simt/timing.hpp"
+#include "tune/autotuner.hpp"
 
 namespace polyeval::core {
 
@@ -585,6 +587,29 @@ inline void snapshot_device_log(const simt::LaunchLog& log, std::size_t kernels_
       log.transfers.transfers_to_device - before.transfers_to_device;
   last_log.transfers.transfers_from_device =
       log.transfers.transfers_from_device - before.transfers_from_device;
+}
+
+/// One tuning probe of a single-launch evaluator (fused, three-kernel):
+/// build `Eval` with a candidate's pinned `options` on a scratch device
+/// of `spec`, run a full-capacity zero-point batch -- values cannot move
+/// a memory access, so zeros measure exactly the steady state's
+/// statistics -- and price its log with estimate_log_us under the
+/// scalar's cost factor.
+template <prec::RealScalar S, class Eval, class Options>
+[[nodiscard]] tune::ProbeOutcome probe_zero_batch(const simt::DeviceSpec& spec,
+                                                  const poly::PolynomialSystem& system,
+                                                  unsigned capacity,
+                                                  const Options& options) {
+  using C = cplx::Complex<S>;
+  simt::Device device(spec);
+  Eval eval(device, system, capacity, options);
+  std::vector<std::vector<C>> points(capacity, std::vector<C>(eval.dimension(), C{}));
+  std::vector<poly::EvalResult<S>> results(capacity);
+  eval.evaluate_range(points, 0, capacity, std::span<poly::EvalResult<S>>(results));
+  simt::GpuCostModel cost;
+  cost.scalar_cost_factor =
+      simt::scalar_cost_factor_for_width(static_cast<unsigned>(sizeof(S) / sizeof(double)));
+  return {simt::estimate_log_us(eval.last_log(), device.spec(), cost), eval.last_log()};
 }
 
 }  // namespace detail

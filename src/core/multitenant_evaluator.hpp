@@ -69,11 +69,12 @@ class MultiTenantFusedEvaluator {
       throw std::invalid_argument("MultiTenantFusedEvaluator: zero tenants");
     if (capacity_ == 0)
       throw std::invalid_argument("MultiTenantFusedEvaluator: zero capacity");
-    if (options_.block_size == 0)
-      options_.block_size = pick_block_size(structure.n, structure.m, structure.k,
-                                            capacity_,
-                                            device.spec().multiprocessors);
-    if (!options_.interchange) options_.interchange = InterchangeLayout::kAoS;
+    // Heuristic only (no `tuning` knob): no key, no candidate axes.
+    options_ = tune::resolve_geometry(options_, [&] {
+      const unsigned seed = pick_block_size(structure.n, structure.m, structure.k,
+                                            capacity_, device.spec().multiprocessors);
+      return tune::GeometrySearch{{}, seed, {}, {}};
+    });
 
     const std::size_t pos_stride = support_stride();
     const std::size_t coeff_stride = layout_.coeffs_size();

@@ -86,9 +86,7 @@ class PipelinedFusedEvaluator {
     /// download stream); 0 = auto (tuned, or 2 in kHeuristic mode).
     /// Bitwise-identical results either way -- only modeled time moves.
     unsigned streams = 0;
-    /// Tuned resolution applies only when block_size, interchange and
-    /// streams are ALL auto; pinning any one of them pins the others to
-    /// their heuristic seeds (a half-pinned key would poison the cache).
+    /// How the auto knobs resolve (the pin rule: tune::resolve_geometry).
     tune::TuningMode tuning = tune::TuningMode::kMeasured;
     bool detect_races = false;
     /// Cost model pricing the modeled stream timeline.
@@ -259,62 +257,42 @@ class PipelinedFusedEvaluator {
 
  private:
   /// Resolve the auto knobs (block_size == 0, interchange == nullopt,
-  /// streams == 0) before any member consumes them.  Measured mode (all
-  /// three auto): probe candidate (block, layout, streams) triples on a
-  /// SCRATCH device by running a full-capacity zero-point batch through
-  /// a candidate pipeline and scoring its modeled MAKESPAN -- the
-  /// quantity streams exist to shrink -- so the tuner sees exactly the
-  /// overlap each schedule buys.  Heuristic mode, or any knob pinned:
-  /// pick_block_size seed, AoS, 2 streams.  Probes carry kHeuristic and
-  /// pinned knobs, so resolution can never recurse.
+  /// streams == 0) before any member consumes them, through
+  /// tune::resolve_geometry: the pick_block_size seed over the
+  /// micro-chunk, candidates {32, 64, 128} x {2, 3} streams, each probed
+  /// by running a full-capacity zero-point batch through the candidate
+  /// pipeline on a scratch device and scoring its modeled MAKESPAN --
+  /// the quantity streams exist to shrink -- so the tuner sees exactly
+  /// the overlap each schedule buys.
   [[nodiscard]] static Options resolve_options(simt::Device& device,
                                                const poly::PolynomialSystem& system,
                                                unsigned capacity, Options options) {
-    const bool auto_block = options.block_size == 0;
-    const bool auto_layout = !options.interchange.has_value();
-    const bool auto_streams = options.streams == 0;
     if (capacity == 0 || options.micro_chunk == 0)
       return options;  // the ctor body throws the real error
     const unsigned micro = std::min(options.micro_chunk, capacity);
-    const auto st = pack_system(system).structure;
-    const unsigned seed =
-        pick_block_size(st.n, st.m, st.k, micro, device.spec().multiprocessors);
-    if (options.tuning == tune::TuningMode::kHeuristic || !auto_block ||
-        !auto_layout || !auto_streams) {
-      if (auto_block) options.block_size = seed;
-      if (auto_layout) options.interchange = InterchangeLayout::kAoS;
-      if (auto_streams) options.streams = 2;
-      return options;
-    }
-
-    const unsigned width = static_cast<unsigned>(sizeof(S) / sizeof(double));
-    const auto key = tune::TuneKey::make(tune::TunedSchedule::kPipelined, st,
-                                         capacity, micro, width, device.spec());
-    const unsigned blocks[] = {32, 64, 128};
-    const unsigned streams[] = {2, 3};
-    const auto candidates = tune::standard_candidates(seed, blocks, streams);
-    const auto decision = tune::Autotuner::global().tune(
-        key, std::span<const tune::TuneCandidate>(candidates),
-        [&](const tune::TuneCandidate& cand) -> std::optional<tune::ProbeOutcome> {
-          simt::Device probe_device(device.spec());
-          Options copt = options;
-          copt.block_size = cand.block_size;
-          copt.interchange = cand.interchange;
-          copt.streams = cand.streams;
-          copt.tuning = tune::TuningMode::kHeuristic;
-          PipelinedFusedEvaluator probe(probe_device, system, capacity, copt);
-          std::vector<std::vector<C>> pts(capacity, std::vector<C>(st.n, C{}));
+    const simt::DeviceSpec& spec = device.spec();
+    return tune::resolve_geometry(
+        options,
+        [&] {
+          static constexpr unsigned kBlocks[] = {32, 64, 128};
+          static constexpr unsigned kStreams[] = {2, 3};
+          const unsigned width = static_cast<unsigned>(sizeof(S) / sizeof(double));
+          const auto st = pack_system(system).structure;
+          return tune::GeometrySearch{
+              tune::TuneKey::make(tune::TunedSchedule::kPipelined, st, capacity, micro,
+                                  width, spec),
+              pick_block_size(st.n, st.m, st.k, micro, spec.multiprocessors), kBlocks,
+              kStreams};
+        },
+        [&](const Options& pinned) {
+          simt::Device probe_device(spec);
+          PipelinedFusedEvaluator probe(probe_device, system, capacity, pinned);
+          std::vector<std::vector<C>> pts(capacity,
+                                          std::vector<C>(probe.dimension(), C{}));
           std::vector<poly::EvalResult<S>> res;
           probe.evaluate(pts, res);
-          tune::ProbeOutcome outcome;
-          outcome.modeled_us = probe.modeled_pipelined_us();
-          outcome.log = probe.last_log();
-          return outcome;
+          return tune::ProbeOutcome{probe.modeled_pipelined_us(), probe.last_log()};
         });
-    options.block_size = decision.choice.block_size;
-    options.interchange = decision.choice.interchange;
-    options.streams = decision.choice.streams;
-    return options;
   }
 
   /// The ONE copy of the two-stream double-buffer schedule, shared by

@@ -154,8 +154,8 @@ void refine_batch(BatchEval& e, std::vector<std::vector<cplx::Complex<S>>>& x,
                   std::span<const cplx::Complex<S>> ts, std::size_t count,
                   const NewtonOptions& options, linalg::LuArena<S>& arena,
                   RefineBatchScratch<S>& scratch, std::span<BatchPathStatus> status,
-                  std::span<const std::size_t> slot_ids,
-                  std::span<const unsigned char> masked) {
+                  std::span<const std::size_t> slot_ids = {},
+                  std::span<const unsigned char> masked = {}) {
   using C = cplx::Complex<S>;
   const unsigned n = e.dimension();
   // An all-false active mask must not pay a launch/upload round: with
@@ -263,19 +263,6 @@ void refine_batch(BatchEval& e, std::vector<std::vector<cplx::Complex<S>>>& x,
     }
     scratch.active.resize(keep);
   }
-}
-
-/// Legacy spelling without slot ids or a cancellation mask.
-template <prec::RealScalar S, class BatchEval>
-  requires BatchEvaluator<BatchEval, S>
-void refine_batch(BatchEval& e, std::vector<std::vector<cplx::Complex<S>>>& x,
-                  std::span<const cplx::Complex<S>> ts, std::size_t count,
-                  const NewtonOptions& options, linalg::LuArena<S>& arena,
-                  RefineBatchScratch<S>& scratch,
-                  std::span<BatchPathStatus> status) {
-  refine_batch<S>(e, x, ts, count, options, arena, scratch, status,
-                  std::span<const std::size_t>{},
-                  std::span<const unsigned char>{});
 }
 
 }  // namespace polyeval::newton

@@ -456,13 +456,13 @@ class SolveService {
     const std::size_t misses_before = cache_.misses();
     try {
       item.entry = cache_.lookup(
-          req.target, config_.lockstep_batch, req.options.tuning.mode,
+          req.target, config_.lockstep_batch, req.options.tuning,
           std::span<const simt::DeviceSpec>(fleet_spec_list_));
     } catch (const std::exception&) {
       return AdmissionVerdict::kInvalid;  // degenerate system
     }
     if (config_.audit_new_systems && cache_.misses() != misses_before)
-      audit_new_entry(*item.entry);
+      audit_new_entry(*item.entry, req.options.tuning);
     const unsigned n = req.target.dimension();
     if (req.start) {
       if (req.start->system.degrees() != req.target.degrees())
@@ -524,14 +524,15 @@ class SolveService {
   /// cache has never seen, on a scratch device with the entry's tuned
   /// geometry pinned.  Advisory: findings land in stats and metrics,
   /// and no failure here may reject the request.
-  void audit_new_entry(const typename SystemCache<S>::Entry& entry) {
+  void audit_new_entry(const typename SystemCache<S>::Entry& entry,
+                       const solve::Options::Tuning& tuning) {
     try {
       simt::Device probe(fleet_spec_list_.empty() ? config_.spec
                                                   : fleet_spec_list_[0]);
       audit::KernelAuditor auditor;
       auditor.attach(probe);
       typename core::FusedGpuEvaluator<S>::Options opts;
-      if (const auto* geom = entry.geometry_for(probe.spec())) {
+      if (const auto* geom = entry.geometry_for(probe.spec(), tuning)) {
         opts.block_size = geom->block;
         opts.interchange = geom->interchange;
       }
@@ -668,15 +669,13 @@ class SolveService {
       group->patch_s.push_back(C::from_double(c));
     group->shards.reserve(registry_.size());
     for (unsigned i = 0; i < registry_.size(); ++i) {
-      // Each shard pins the geometry the cache resolved for ITS spec --
-      // a mixed fleet no longer inherits shard 0's winner.  A pinned
-      // block size wins over the cache's tuned geometry, as in the
-      // single-tenant resolution rules.
-      const auto* geom = entry.geometry_for(registry_.spec(i));
+      // Each shard pins the geometry the cache resolved for ITS spec
+      // under the group's tuning -- a mixed fleet no longer inherits
+      // shard 0's winner, and a pinned block keeps its heuristic layout,
+      // as in the single-tenant resolution rules.
+      const auto* geom = entry.geometry_for(registry_.spec(i), key.tuning);
       typename core::MultiTenantFusedEvaluator<S>::Options eopts;
-      eopts.block_size = key.tuning.block_size != 0
-                             ? key.tuning.block_size
-                             : (geom != nullptr ? geom->block : 0);
+      eopts.block_size = geom != nullptr ? geom->block : key.tuning.block_size;
       if (geom != nullptr) eopts.interchange = geom->interchange;
       eopts.detect_races = key.tuning.detect_races;
       group->shards.push_back(std::make_unique<typename Group::Shard>(

@@ -13,11 +13,12 @@
 /// packed tables field-by-field inside the bucket, so a colliding hash
 /// (tests inject a constant one) can never alias two different systems
 /// into one entry -- it only makes lookups slower.  The resolved tune
-/// geometry comes from FusedGpuEvaluator::resolve_options, the same
-/// resolution a single-tenant evaluator's constructor runs through
-/// tune::Autotuner::global(): the first request with a structure pays
-/// the measured probe, every later one is a TuneCache hit
-/// (Autotuner::global().hits() observes the reuse across requests).
+/// geometry comes from FusedGpuEvaluator::resolve_options under the
+/// request's whole Tuning (mode AND block pin) -- the same resolution a
+/// single-tenant evaluator's constructor runs, so a pinned block probes
+/// nothing and takes AoS, and the first unpinned request with a
+/// structure pays the measured probe while every later one is a
+/// TuneCache hit (Autotuner::global().hits() observes the reuse).
 ///
 /// Geometry is PER DEVICE SPEC: an entry holds one resolved geometry
 /// per distinct spec in the caller's fleet, each probed on a scratch
@@ -38,6 +39,7 @@
 
 #include "core/fused_evaluator.hpp"
 #include "homotopy/start_system.hpp"
+#include "solve/options.hpp"
 
 namespace polyeval::service {
 
@@ -81,9 +83,12 @@ class SystemCache {
  public:
   using Hasher = std::function<std::uint64_t(const core::PackedSystem&)>;
 
-  /// Launch geometry the autotuner resolved for one device spec.
+  /// Launch geometry resolved for one device spec under one request
+  /// tuning (mode and block pin).
   struct TunedGeometry {
     simt::DeviceSpec spec;
+    tune::TuningMode mode = tune::TuningMode::kMeasured;
+    unsigned pinned_block = 0;  ///< the tuning's block pin; 0 = none
     unsigned block = 0;
     std::optional<core::InterchangeLayout> interchange;
   };
@@ -92,22 +97,24 @@ class SystemCache {
     poly::PolynomialSystem system;  ///< the target, as submitted
     core::PackedSystem packed;
     homotopy::TotalDegreeStart start;
-    /// Resolved geometry per distinct device spec, at `tuned_capacity`
-    /// points (the service's evaluator batch size).  One element for a
-    /// uniform fleet; grown lazily as lookups bring new specs.
+    /// Resolved geometry per distinct (device spec, tuning), at
+    /// `tuned_capacity` points (the service's evaluator batch size),
+    /// grown lazily as lookups bring new specs or tunings.
     std::vector<TunedGeometry> geometries;
     unsigned tuned_capacity = 0;
-    tune::TuningMode tuned_mode = tune::TuningMode::kMeasured;
 
     Entry(const poly::PolynomialSystem& target, core::PackedSystem p)
         : system(target), packed(std::move(p)), start(target) {}
 
-    /// The resolved geometry for `spec`; an entry returned by lookup()
-    /// always covers every spec the lookup was made with.
+    /// The resolved geometry for `spec` under `tuning`; an entry returned
+    /// by lookup() covers every spec the lookup was made with.
     [[nodiscard]] const TunedGeometry* geometry_for(
-        const simt::DeviceSpec& spec) const {
+        const simt::DeviceSpec& spec,
+        const solve::Options::Tuning& tuning = {}) const {
       for (const auto& g : geometries)
-        if (g.spec == spec) return &g;
+        if (g.spec == spec && g.mode == tuning.mode &&
+            g.pinned_block == tuning.block_size)
+          return &g;
       return nullptr;
     }
   };
@@ -116,29 +123,29 @@ class SystemCache {
       : hasher_(hasher ? std::move(hasher) : Hasher(&hash_packed_system)) {}
 
   /// Find-or-create the entry for `target`, resolving the tune geometry
-  /// for `capacity`-point batches under `mode` on each of the fleet's
+  /// for `capacity`-point batches under `tuning` on each of the fleet's
   /// `specs` (deduplicated; empty means one default-spec device).  A
-  /// content hit re-resolves only what changed: everything when
-  /// capacity/mode moved, just the missing specs when the fleet grew.
+  /// content hit re-resolves only what changed: everything when the
+  /// capacity moved, just the missing (spec, tuning) pairs otherwise.
   std::shared_ptr<const Entry> lookup(
       const poly::PolynomialSystem& target, unsigned capacity,
-      tune::TuningMode mode, std::span<const simt::DeviceSpec> specs = {}) {
+      const solve::Options::Tuning& tuning,
+      std::span<const simt::DeviceSpec> specs = {}) {
     static const simt::DeviceSpec default_spec = simt::DeviceSpec::tesla_c2050();
     if (specs.empty()) specs = std::span<const simt::DeviceSpec>(&default_spec, 1);
     core::PackedSystem packed = core::pack_system(target);
     auto& bucket = buckets_[hasher_(packed)];
     for (const auto& e : bucket) {
       if (packed_systems_equal(e->packed, packed)) {
-        if (e->tuned_capacity != capacity || e->tuned_mode != mode)
-          e->geometries.clear();
-        resolve_missing(*e, capacity, mode, specs);
+        if (e->tuned_capacity != capacity) e->geometries.clear();
+        resolve_missing(*e, capacity, tuning, specs);
         ++hits_;
         return e;
       }
     }
     ++misses_;
     auto entry = std::make_shared<Entry>(target, std::move(packed));
-    resolve_missing(*entry, capacity, mode, specs);
+    resolve_missing(*entry, capacity, tuning, specs);
     bucket.push_back(entry);
     return entry;
   }
@@ -152,24 +159,25 @@ class SystemCache {
   }
 
  private:
-  /// Resolve geometry for every spec in `specs` the entry does not
-  /// already cover, once per DISTINCT uncovered spec -- probed on
-  /// scratch devices of that spec, so no shard inherits another
+  /// Resolve geometry under `tuning` for every spec in `specs` the entry
+  /// does not already cover, once per DISTINCT uncovered spec -- probed
+  /// on scratch devices of that spec, so no shard inherits another
   /// geometry's winner.  Later same-structure constructions (and every
   /// multi-tenant evaluator pinned from this entry) skip the probe.
   static void resolve_missing(Entry& entry, unsigned capacity,
-                              tune::TuningMode mode,
+                              const solve::Options::Tuning& tuning,
                               std::span<const simt::DeviceSpec> specs) {
     for (const auto& spec : specs) {
-      if (entry.geometry_for(spec) != nullptr) continue;  // covered (dedups too)
+      if (entry.geometry_for(spec, tuning) != nullptr) continue;  // covered (dedups too)
       typename core::FusedGpuEvaluator<S>::Options opts;
-      opts.tuning = mode;
+      opts.block_size = tuning.block_size;
+      opts.tuning = tuning.mode;
       const auto resolved = core::FusedGpuEvaluator<S>::resolve_options(
           spec, entry.system, capacity, opts);
-      entry.geometries.push_back({spec, resolved.block_size, resolved.interchange});
+      entry.geometries.push_back({spec, tuning.mode, tuning.block_size,
+                                  resolved.block_size, resolved.interchange});
     }
     entry.tuned_capacity = capacity;
-    entry.tuned_mode = mode;
   }
 
   Hasher hasher_;

@@ -20,8 +20,9 @@
 /// The probing is a callback (`probe(candidate) -> optional<ProbeOutcome>`)
 /// supplied by the evaluator being tuned, which keeps this header free
 /// of evaluator types (no include cycle: evaluators include this file).
-/// A probe constructs its evaluator with the candidate geometry pinned
-/// and `TuningMode::kHeuristic`, so probing can never recurse into the
+/// Evaluators reach the tuner only through resolve_geometry, whose probes
+/// construct the evaluator with the candidate geometry pinned and
+/// `TuningMode::kHeuristic`, so probing can never recurse into the
 /// tuner.  Returning nullopt marks the candidate infeasible (e.g. the
 /// batch pipeline's kernel-2 shared budget) -- skipped, not scored.
 ///
@@ -181,6 +182,68 @@ class Autotuner {
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };
+
+/// What a tuned evaluator searches when its geometry is auto: the cache
+/// key, the heuristic block seed (candidate zero) and the candidate axes.
+struct GeometrySearch {
+  TuneKey key;
+  unsigned seed_block = 0;
+  std::span<const unsigned> blocks;
+  std::span<const unsigned> stream_counts;
+};
+
+/// The one launch-geometry decision of every evaluator.  A knob is auto
+/// when `block_size == 0`, `interchange == nullopt` or, on Options that
+/// have it, `streams == 0`; with nothing auto, `options` come back as
+/// they are.  Under kHeuristic (always, on Options without a `tuning`
+/// field), or when any knob is pinned, every auto knob takes its seed:
+/// `search().seed_block`, AoS and the first stream count (a half-pinned
+/// key would poison the cache).  Otherwise the global Autotuner measures
+/// `standard_candidates` over the search's axes: each candidate is
+/// pinned into a copy of `options` with kHeuristic set, so probing can
+/// never recurse, and `probe(pinned) -> optional<ProbeOutcome>` scores
+/// it.  `search()` runs only when some knob is auto, so a fully pinned
+/// construction -- every probe's -- pays nothing here.
+template <class Options, class Search, class Probe = std::nullptr_t>
+[[nodiscard]] Options resolve_geometry(Options options, Search&& search,
+                                       Probe&& probe = nullptr) {
+  constexpr bool kHasStreams = requires { options.streams; };
+  constexpr bool kMeasurable = requires { options.tuning; };
+  const bool auto_block = options.block_size == 0;
+  const bool auto_layout = !options.interchange.has_value();
+  bool auto_streams = false;
+  if constexpr (kHasStreams) auto_streams = options.streams == 0;
+  if (!auto_block && !auto_layout && !auto_streams) return options;
+
+  const GeometrySearch s = search();
+  if constexpr (kMeasurable) {
+    const bool all_auto = auto_block && auto_layout && (auto_streams || !kHasStreams);
+    if (all_auto && options.tuning == TuningMode::kMeasured) {
+      const auto pin = [](Options& o, const TuneCandidate& c) {
+        o.block_size = c.block_size;
+        o.interchange = c.interchange;
+        if constexpr (kHasStreams) o.streams = c.streams;
+      };
+      const auto candidates =
+          standard_candidates(s.seed_block, s.blocks, s.stream_counts);
+      const TuneDecision decision = Autotuner::global().tune(
+          s.key, std::span<const TuneCandidate>(candidates),
+          [&](const TuneCandidate& c) -> std::optional<ProbeOutcome> {
+            Options pinned = options;
+            pin(pinned, c);
+            pinned.tuning = TuningMode::kHeuristic;
+            return probe(pinned);
+          });
+      pin(options, decision.choice);
+      return options;
+    }
+  }
+  if (auto_block) options.block_size = s.seed_block;
+  if (auto_layout) options.interchange = core::InterchangeLayout::kAoS;
+  if constexpr (kHasStreams)
+    if (auto_streams) options.streams = s.stream_counts.front();
+  return options;
+}
 
 /// Measured throughput weights for a fleet of specs: `make_key(spec)`
 /// names each device's kernel, and if EVERY spec has a memoized tuning

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/batch_evaluator.hpp"
 #include "core/pipelined_evaluator.hpp"
 #include "poly/random_system.hpp"
 
@@ -103,6 +104,41 @@ TEST(BlockHeuristic, EvaluatorsUseItAsTheHeuristicSeed) {
     core::FusedGpuEvaluator<double> fused(device, sys, 4, opt);
     EXPECT_EQ(fused.options().block_size, 128u);
     EXPECT_EQ(fused.options().interchange, core::InterchangeLayout::kAoS);
+  }
+  {
+    // The three-kernel evaluator's seed is the paper's one-warp block,
+    // whatever the batch shape.
+    simt::Device device;
+    core::BatchGpuEvaluator<double>::Options opt;
+    opt.tuning = tune::TuningMode::kHeuristic;
+    core::BatchGpuEvaluator<double> batch(device, sys, 4, opt);
+    EXPECT_EQ(batch.options().block_size, 32u);
+    EXPECT_EQ(batch.options().interchange, core::InterchangeLayout::kAoS);
+  }
+  {
+    // Pinning the stream count alone pins the other pipelined knobs to
+    // their seeds even in measured mode: the micro-chunk's
+    // pick_block_size (64 here, where the 16-point capacity would give
+    // 32) and AoS.
+    poly::SystemSpec wide;
+    wide.dimension = 16;
+    wide.monomials_per_polynomial = 22;
+    wide.variables_per_monomial = 9;
+    wide.max_exponent = 2;
+    const auto wide_sys = poly::make_random_system(wide);
+    simt::Device device;
+    const unsigned sms = device.spec().multiprocessors;
+    ASSERT_EQ(pick_block_size(16, 22, 9, 2, sms), 64u);
+    ASSERT_EQ(pick_block_size(16, 22, 9, 16, sms), 32u);
+    core::PipelinedFusedEvaluator<double>::Options opt;
+    opt.micro_chunk = 2;
+    opt.streams = 3;
+    const std::size_t misses = tune::Autotuner::global().misses();
+    core::PipelinedFusedEvaluator<double> pipelined(device, wide_sys, 16, opt);
+    EXPECT_EQ(tune::Autotuner::global().misses(), misses);
+    EXPECT_EQ(pipelined.options().block_size, 64u);
+    EXPECT_EQ(pipelined.options().interchange, core::InterchangeLayout::kAoS);
+    EXPECT_EQ(pipelined.streams(), 3u);
   }
 }
 

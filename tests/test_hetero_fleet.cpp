@@ -281,7 +281,7 @@ TEST(MixedFleet, SystemCacheResolvesGeometryPerSpec) {
 
   const std::size_t misses0 = tuner.misses();
   const auto entry =
-      cache.lookup(sys, 16, tune::TuningMode::kMeasured,
+      cache.lookup(sys, 16, solve::Options::Tuning{},
                    std::span<const simt::DeviceSpec>(fleet));
   ASSERT_EQ(entry->geometries.size(), 2u);  // distinct specs only
   EXPECT_NE(entry->geometry_for(fleet[0]), nullptr);
@@ -293,7 +293,7 @@ TEST(MixedFleet, SystemCacheResolvesGeometryPerSpec) {
   // A content hit with the same fleet re-resolves nothing.
   const std::size_t misses1 = tuner.misses();
   const auto entry2 =
-      cache.lookup(sys, 16, tune::TuningMode::kMeasured,
+      cache.lookup(sys, 16, solve::Options::Tuning{},
                    std::span<const simt::DeviceSpec>(fleet));
   EXPECT_EQ(entry.get(), entry2.get());
   EXPECT_EQ(tuner.misses(), misses1);

@@ -216,6 +216,34 @@ TEST(SolveService, SystemCacheReusesEntriesAcrossRequests) {
   EXPECT_EQ(stats.cache_hits, 2u);
 }
 
+TEST(SolveService, PinnedBlockResolvesWithoutProbing) {
+  // A pinned block pins the layout to AoS and probes nothing, as in a
+  // standalone FusedGpuEvaluator: admission must not run a measured
+  // probe behind the pin.  An unpinned submit of the same system then
+  // does probe, and the pinned solve stays bitwise equal to its oracle.
+  auto& tuner = tune::Autotuner::global();
+  tuner.cache().clear();
+  const auto sys = small_system(4242);
+  auto pinned = small_options(4);
+  pinned.tuning.block_size = 64;
+
+  service::SolveService<double> svc;
+  const std::size_t misses = tuner.misses();
+  auto t = svc.submit({sys, pinned, {}, 0, 0.0});
+  ASSERT_TRUE(t.admitted());
+  EXPECT_EQ(tuner.misses(), misses);
+  svc.drain();
+  ASSERT_TRUE(t.done());
+  EXPECT_EQ(tuner.misses(), misses);
+  expect_paths_bitwise_equal(t.report().paths, standalone(sys, pinned).paths);
+
+  auto measured = svc.submit({sys, small_options(4), {}, 0, 0.0});
+  ASSERT_TRUE(measured.admitted());
+  EXPECT_GT(tuner.misses(), misses);
+  svc.drain();
+  EXPECT_TRUE(measured.done());
+}
+
 TEST(SolveService, CancellationMidSolvePreservesSurvivorParity) {
   // Cancel request A after its first tracking tick; B keeps riding the
   // (now A-free) rounds and must stay bitwise equal to its standalone
